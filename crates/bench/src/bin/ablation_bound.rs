@@ -8,9 +8,7 @@
 
 use volley_bench::params::SweepParams;
 use volley_bench::workloads::{TraceFamily, WorkloadSet};
-use volley_core::misdetection_bound;
-use volley_core::stats::DeltaTracker;
-use volley_core::Interval;
+use volley_core::{misdetection_bound, OnlineStats};
 
 fn main() {
     let params = SweepParams::from_args(std::env::args().skip(1));
@@ -34,10 +32,12 @@ fn main() {
             for trace in workload.traces() {
                 let threshold =
                     volley_core::selectivity_threshold(trace, 1.0).expect("valid trace");
-                let mut tracker = DeltaTracker::new();
+                // Every tick is sampled, so δ is the plain one-tick change.
+                let mut stats = OnlineStats::new();
                 for (t, &v) in trace.iter().enumerate() {
-                    tracker.record(t as u64, v, Interval::DEFAULT);
-                    let stats = tracker.stats();
+                    if t > 0 {
+                        stats.update(v - trace[t - 1]);
+                    }
                     if stats.count() < 5 {
                         continue;
                     }

@@ -5,7 +5,7 @@
 //! sweep of worker-thread counts, recording throughput (VM-windows
 //! simulated per second) and speedup versus single-threaded execution.
 //! The per-VM work is the real Volley hot path — one monitor per VM in
-//! a struct-of-arrays [`SamplerBank`] over a deterministic synthetic
+//! a [`SamplerBank`] over a deterministic synthetic
 //! trace — so the numbers measure the engine, not a toy loop. The fleet
 //! exchanges no cross-shard messages, so each run uses
 //! [`EngineConfig::message_free`]: the whole horizon is one epoch and
@@ -113,9 +113,8 @@ fn metric(vm: u64, tick: u64) -> f64 {
     }
 }
 
-/// One shard's slice of the fleet: a struct-of-arrays bank of Volley
-/// monitors plus each monitor's next due tick, in parallel arrays
-/// walked contiguously every window.
+/// One shard's slice of the fleet: a bank of Volley monitors plus each
+/// monitor's next due tick, walked contiguously every window.
 struct FleetSlice {
     first_vm: u64,
     tick_count: u64,

@@ -21,9 +21,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::VolleyError;
-use crate::likelihood::{misdetection_bound_with, BoundKind};
-use crate::snapshot::{finite_or_zero, SamplerSnapshot};
-use crate::stats::{DeltaTracker, StatsKind};
+use crate::likelihood::{misdetection_bound_with, sustainable_intervals_with, BoundKind};
+use crate::snapshot::{finite_or_zero, DeltaSnapshot, EwmaSnapshot, SamplerSnapshot};
+use crate::stats::{clamp_lambda, EwmaStats, Moments, OnlineStats, StatsKind};
 use crate::time::{Interval, Tick};
 
 /// Configuration of the monitor-level adaptation algorithm.
@@ -241,7 +241,8 @@ impl AdaptationConfigBuilder {
     }
 }
 
-/// Outcome of one sampling operation processed by [`AdaptiveSampler`].
+/// Outcome of one sampling operation processed by [`AdaptiveSampler`] or
+/// [`SamplerBank`](crate::SamplerBank).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// Whether the sampled value exceeded the (local) threshold.
@@ -260,6 +261,138 @@ pub struct Observation {
     pub grew: bool,
 }
 
+/// Sentinel for "no previous sample" in [`Lane::last_tick`].
+const NO_SAMPLE: Tick = Tick::MAX;
+
+/// One monitor's §III-B controller state: the single implementation of
+/// Figure 2 behind both [`AdaptiveSampler`] and
+/// [`SamplerBank`](crate::SamplerBank).
+///
+/// The configuration and error allowance live with the owner (one per
+/// sampler, one per bank), so a lane is small, `Copy`, and banks store
+/// lanes contiguously.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Lane {
+    /// The violation threshold.
+    pub(crate) threshold: f64,
+    /// Tick of the previous sample (`NO_SAMPLE` before the first).
+    last_tick: Tick,
+    /// Value of the previous sample.
+    last_value: f64,
+    /// The active estimator's δ moments.
+    moments: Moments,
+    /// The sampling interval in effect.
+    pub(crate) interval: Interval,
+    /// Consecutive sub-slack observations toward the next growth.
+    consecutive_ok: u32,
+}
+
+impl Lane {
+    /// A lane with violation condition `value > threshold`, starting (per
+    /// the paper) at the default interval with empty statistics.
+    pub(crate) fn new(threshold: f64) -> Self {
+        Lane {
+            threshold,
+            last_tick: NO_SAMPLE,
+            last_value: 0.0,
+            moments: Moments::default(),
+            interval: Interval::DEFAULT,
+            consecutive_ok: 0,
+        }
+    }
+
+    /// Records a sample taken at `tick` without deciding anything: the
+    /// per-default-interval change `δ̂ = Δv / (tick − last tick)` feeds the
+    /// active estimator, and the sample becomes the one the next δ̂ is
+    /// taken against. A sample that does not advance past the previous one
+    /// (e.g. a forced global poll at the same tick) only replaces it.
+    #[inline]
+    pub(crate) fn record(&mut self, config: &AdaptationConfig, tick: Tick, value: f64) {
+        if self.last_tick != NO_SAMPLE && tick > self.last_tick {
+            let delta_hat = (value - self.last_value) / (tick - self.last_tick) as f64;
+            self.moments
+                .update(config.stats(), config.restart_after(), delta_hat);
+        }
+        self.last_tick = tick;
+        self.last_value = value;
+    }
+
+    /// Whether the statistics hold enough δ observations to be trusted
+    /// (at least `warmup_samples`, and never fewer than two).
+    #[inline]
+    pub(crate) fn warmed(&self, config: &AdaptationConfig) -> bool {
+        self.moments.n >= u64::from(config.warmup_samples().max(2))
+    }
+
+    /// `β(I)` for this lane's statistics at `interval`, from the fresh
+    /// sample `value`; vacuous (1) until the statistics warm up.
+    #[inline]
+    pub(crate) fn bound(&self, config: &AdaptationConfig, value: f64, interval: u32) -> f64 {
+        if self.warmed(config) {
+            misdetection_bound_with(
+                config.bound(),
+                value,
+                self.threshold,
+                self.moments.mean,
+                self.moments.variance.sqrt(),
+                interval,
+            )
+        } else {
+            // Until statistics warm up, claim nothing: a vacuous bound
+            // keeps the lane at the default interval.
+            1.0
+        }
+    }
+
+    /// The complete per-sample algorithm of §III-B: statistics update
+    /// (with the δ̂ correction for coarse intervals), `β(I)` evaluation and
+    /// the collapse/grow/keep decision under allowance `err`.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        config: &AdaptationConfig,
+        err: f64,
+        tick: Tick,
+        value: f64,
+    ) -> Observation {
+        self.record(config, tick, value);
+        let warmed = self.warmed(config);
+        let beta = self.bound(config, value, self.interval.get());
+
+        let mut collapsed = false;
+        let mut grew = false;
+        if err <= 0.0 {
+            // Degenerate allowance: periodic sampling at the default rate.
+            self.interval = Interval::DEFAULT;
+            self.consecutive_ok = 0;
+        } else if beta > err {
+            if warmed || self.interval > Interval::DEFAULT {
+                collapsed = self.interval > Interval::DEFAULT;
+                self.interval = Interval::DEFAULT;
+            }
+            self.consecutive_ok = 0;
+        } else if beta <= config.grow_threshold(err) {
+            self.consecutive_ok += 1;
+            if self.consecutive_ok >= config.patience() && self.interval < config.max_interval() {
+                self.interval = self.interval.saturating_add(1).min(config.max_interval());
+                self.consecutive_ok = 0;
+                grew = true;
+            }
+        } else {
+            self.consecutive_ok = 0;
+        }
+
+        Observation {
+            violation: value > self.threshold,
+            beta,
+            next_interval: self.interval,
+            next_sample_tick: tick + u64::from(self.interval),
+            collapsed,
+            grew,
+        }
+    }
+}
+
 /// The monitor-level adaptive sampler (Figure 2 of the paper).
 ///
 /// Drives *when to sample next* for a single monitored metric with a fixed
@@ -271,15 +404,14 @@ pub struct Observation {
 /// The error allowance is mutable at run time
 /// ([`set_error_allowance`](AdaptiveSampler::set_error_allowance)) because
 /// the task-level coordination scheme of §IV reallocates allowance across
-/// monitors while the task runs.
+/// monitors while the task runs. Beyond the §III-B controller it shares
+/// with [`SamplerBank`](crate::SamplerBank), the sampler keeps the §IV-B
+/// updating-period aggregates a task-level coordinator reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveSampler {
     config: AdaptationConfig,
-    threshold: f64,
     err: f64,
-    tracker: DeltaTracker,
-    interval: Interval,
-    consecutive_ok: u32,
+    lane: Lane,
     /// Running sums for the coordinator's updating-period averages (§IV-B).
     period_beta_grown_sum: f64,
     period_beta_current_sum: f64,
@@ -297,19 +429,10 @@ impl AdaptiveSampler {
     /// `value > threshold`, starting (per the paper) at the default
     /// interval.
     pub fn new(config: AdaptationConfig, threshold: f64) -> Self {
-        let err = config.error_allowance();
         AdaptiveSampler {
             config,
-            threshold,
-            err,
-            tracker: match config.stats() {
-                StatsKind::WindowedRestart => {
-                    DeltaTracker::with_restart_after(config.restart_after())
-                }
-                StatsKind::Ewma { lambda } => DeltaTracker::with_ewma(lambda),
-            },
-            interval: Interval::DEFAULT,
-            consecutive_ok: 0,
+            err: config.error_allowance(),
+            lane: Lane::new(threshold),
             period_beta_grown_sum: 0.0,
             period_beta_current_sum: 0.0,
             period_reduction_sum: 0.0,
@@ -321,14 +444,14 @@ impl AdaptiveSampler {
 
     /// The violation threshold this sampler monitors against.
     pub fn threshold(&self) -> f64 {
-        self.threshold
+        self.lane.threshold
     }
 
     /// Replaces the violation threshold (used when the coordinator adjusts
     /// local thresholds). Keeps statistics: the δ distribution is a
     /// property of the data, not of the threshold.
     pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold;
+        self.lane.threshold = threshold;
     }
 
     /// The error allowance currently in effect.
@@ -347,7 +470,7 @@ impl AdaptiveSampler {
 
     /// The sampling interval currently in effect.
     pub fn interval(&self) -> Interval {
-        self.interval
+        self.lane.interval
     }
 
     /// The adaptation configuration.
@@ -360,91 +483,33 @@ impl AdaptiveSampler {
         self.total_samples
     }
 
-    /// Access to the online δ statistics (mainly for diagnostics/tests).
-    pub fn stats(&self) -> &crate::OnlineStats {
-        self.tracker.stats()
+    /// The active estimator's δ moments (mainly for diagnostics/tests),
+    /// as an [`OnlineStats`] with the configured restart window.
+    pub fn stats(&self) -> OnlineStats {
+        OnlineStats::from_moments(self.lane.moments, self.config.restart_after())
     }
 
     /// Processes the result of one sampling operation performed at `tick`
     /// and returns the adaptation outcome, including when to sample next.
     ///
-    /// This is the complete per-sample algorithm of §III-B: statistics
-    /// update (with `δ̂` correction for coarse intervals), `β(I)`
-    /// evaluation, collapse/grow decision.
+    /// The decision is the §III-B step shared with
+    /// [`SamplerBank`](crate::SamplerBank); the sampler then folds the
+    /// sample into its §IV-B updating-period aggregates.
     pub fn observe(&mut self, tick: Tick, value: f64) -> Observation {
         self.total_samples += 1;
-        self.tracker.record(tick, value, self.interval);
-        let violation = value > self.threshold;
-
-        let (mu, sigma, observations) = (
-            self.tracker.mean(),
-            self.tracker.std_dev(),
-            self.tracker.count(),
-        );
-        let warmed = observations >= self.config.warmup_samples().max(2);
-        // β for the interval currently in effect, from the fresh sample.
-        let beta_current = if warmed {
-            misdetection_bound_with(
-                self.config.bound(),
-                value,
-                self.threshold,
-                mu,
-                sigma,
-                self.interval.get(),
-            )
-        } else {
-            // Until statistics warm up, claim nothing: a vacuous bound
-            // keeps the sampler at the default interval.
-            1.0
-        };
-
-        let mut collapsed = false;
-        let mut grew = false;
-        if self.err <= 0.0 {
-            // Degenerate allowance: periodic sampling at the default rate.
-            self.interval = Interval::DEFAULT;
-            self.consecutive_ok = 0;
-        } else if beta_current > self.err {
-            if warmed || self.interval > Interval::DEFAULT {
-                collapsed = self.interval > Interval::DEFAULT;
-                self.interval = Interval::DEFAULT;
-            }
-            self.consecutive_ok = 0;
-        } else if beta_current <= self.config.grow_threshold(self.err) {
-            self.consecutive_ok += 1;
-            if self.consecutive_ok >= self.config.patience()
-                && self.interval < self.config.max_interval()
-            {
-                self.interval = self
-                    .interval
-                    .saturating_add(1)
-                    .min(self.config.max_interval());
-                self.consecutive_ok = 0;
-                grew = true;
-            }
-        } else {
-            self.consecutive_ok = 0;
-        }
+        let obs = self.lane.observe(&self.config, self.err, tick, value);
 
         // Maintain the updating-period aggregates used by the task-level
         // coordinator (§IV-B): the average β at the grown interval, the
         // average potential cost reduction, and the per-interval β
         // profile over quiet (growth-qualifying) samples.
-        let beta_grown = if warmed {
-            misdetection_bound_with(
-                self.config.bound(),
-                value,
-                self.threshold,
-                mu,
-                sigma,
-                self.interval.get().saturating_add(1),
-            )
-        } else {
-            1.0
-        };
-        self.period_beta_current_sum += beta_current.min(1.0);
+        let interval = obs.next_interval.get();
+        let beta_grown = self
+            .lane
+            .bound(&self.config, value, interval.saturating_add(1));
+        self.period_beta_current_sum += obs.beta.min(1.0);
         self.period_beta_grown_sum += beta_grown.min(1.0);
-        self.period_reduction_sum += 1.0 - 1.0 / f64::from(self.interval.get() + 1);
+        self.period_reduction_sum += 1.0 - 1.0 / f64::from(interval + 1);
         self.period_observations += 1;
         // Measure the cost-vs-allowance curve: the interval this sample's
         // bound would sustain at each candidate allowance of the ladder.
@@ -452,19 +517,19 @@ impl AdaptiveSampler {
         // the static configuration — using the dynamic per-monitor
         // allowance here would couple the statistic to the current
         // assignment and make the allocation oscillate.
-        if warmed {
+        if self.lane.warmed(&self.config) {
             let mut limits = crate::allocation::allowance_ladder(self.config.error_allowance());
             let grow = 1.0 - self.config.slack_ratio();
             for limit in &mut limits {
                 *limit *= grow;
             }
             let mut intervals = [1u32; crate::allocation::ALLOWANCE_LADDER_LEN];
-            crate::likelihood::sustainable_intervals_with(
+            sustainable_intervals_with(
                 self.config.bound(),
                 value,
-                self.threshold,
-                mu,
-                sigma,
+                self.lane.threshold,
+                self.lane.moments.mean,
+                self.lane.moments.variance.sqrt(),
                 self.config.max_interval().get(),
                 &limits,
                 &mut intervals,
@@ -477,16 +542,7 @@ impl AdaptiveSampler {
                 *slot += 1.0;
             }
         }
-
-        let next_interval = self.interval;
-        Observation {
-            violation,
-            beta: beta_current,
-            next_interval,
-            next_sample_tick: tick + u64::from(next_interval),
-            collapsed,
-            grew,
-        }
+        obs
     }
 
     /// Records a value obtained by a *forced* sample (e.g. a global poll
@@ -496,7 +552,7 @@ impl AdaptiveSampler {
     /// improve rather than distort the model.
     pub fn observe_forced(&mut self, tick: Tick, value: f64) {
         self.total_samples += 1;
-        self.tracker.record(tick, value, Interval::DEFAULT);
+        self.lane.record(&self.config, tick, value);
     }
 
     /// Drains the updating-period aggregates collected since the previous
@@ -516,30 +572,60 @@ impl AdaptiveSampler {
             avg_beta_current: self.period_beta_current_sum / f64::from(n),
             avg_beta_grown: self.period_beta_grown_sum / f64::from(n),
             avg_potential_reduction: self.period_reduction_sum / f64::from(n),
-            interval: self.interval,
-            at_max_interval: self.interval >= self.config.max_interval(),
+            interval: self.lane.interval,
+            at_max_interval: self.lane.interval >= self.config.max_interval(),
             cost_curve,
         };
+        self.clear_period();
+        report
+    }
+
+    /// Zeroes the updating-period aggregates.
+    fn clear_period(&mut self) {
         self.period_beta_current_sum = 0.0;
         self.period_beta_grown_sum = 0.0;
         self.period_reduction_sum = 0.0;
         self.period_observations = 0;
         self.period_cost_sums.iter_mut().for_each(|s| *s = 0.0);
-        report
     }
 
     /// Captures the §III-B controller state for checkpointing: the
     /// configuration, thresholds, δ statistics, interval and growth
     /// progress. The §IV-B updating-period aggregates are deliberately
     /// excluded — see [`crate::snapshot`] for the rationale.
+    ///
+    /// Only the active estimator's moments are written: under
+    /// [`StatsKind::Ewma`] they go to the `ewma` part and the windowed
+    /// part is an empty window.
     pub fn to_snapshot(&self) -> SamplerSnapshot {
+        let moments = self.lane.moments;
+        let (stats, ewma) = match self.config.stats() {
+            StatsKind::WindowedRestart => (self.stats(), None),
+            StatsKind::Ewma { lambda } => {
+                let ewma = EwmaSnapshot {
+                    lambda: clamp_lambda(lambda),
+                    mean: moments.mean,
+                    variance: moments.variance,
+                    n: moments.n,
+                };
+                (
+                    OnlineStats::with_restart_after(self.config.restart_after()),
+                    Some(ewma),
+                )
+            }
+        };
+        let last = self.lane.last_tick;
         SamplerSnapshot {
             config: self.config,
-            threshold: self.threshold,
+            threshold: self.lane.threshold,
             err: self.err,
-            tracker: self.tracker.to_snapshot(),
-            interval: self.interval.get(),
-            consecutive_ok: self.consecutive_ok,
+            tracker: DeltaSnapshot {
+                stats: stats.to_snapshot(),
+                ewma,
+                last: (last != NO_SAMPLE).then_some((last, self.lane.last_value)),
+            },
+            interval: self.lane.interval.get(),
+            consecutive_ok: self.lane.consecutive_ok,
             total_samples: self.total_samples,
         }
     }
@@ -550,8 +636,12 @@ impl AdaptiveSampler {
     /// accuracy but never panic or wedge the controller: the
     /// configuration invariants are re-imposed, non-finite floats are
     /// replaced, and the restored interval is clamped back under the
-    /// configured maximum. The updating-period aggregates restart at
-    /// zero — a restore begins a fresh §IV-B period.
+    /// configured maximum. The configuration picks the active estimator,
+    /// whose part of the snapshot supplies the moments; a cached last
+    /// sample with a non-finite value is discarded, so the next sample
+    /// re-seeds it instead of producing a poisoned δ̂. The
+    /// updating-period aggregates restart at zero — a restore begins a
+    /// fresh §IV-B period.
     pub fn from_snapshot(snapshot: &SamplerSnapshot) -> Self {
         let config = snapshot.config.sanitized();
         let mut sampler = AdaptiveSampler::new(config, finite_or_zero(snapshot.threshold));
@@ -560,27 +650,33 @@ impl AdaptiveSampler {
         } else {
             config.error_allowance()
         };
-        sampler.tracker = DeltaTracker::from_snapshot(&snapshot.tracker);
-        sampler.interval = Interval::new_clamped(snapshot.interval).min(config.max_interval());
+        let tracker = &snapshot.tracker;
+        let lane = &mut sampler.lane;
+        lane.moments = match config.stats() {
+            StatsKind::WindowedRestart => OnlineStats::from_snapshot(&tracker.stats).moments(),
+            StatsKind::Ewma { .. } => tracker
+                .ewma
+                .map(|e| EwmaStats::from_snapshot(&e).moments())
+                .unwrap_or_default(),
+        };
+        if let Some((tick, value)) = tracker.last.filter(|(_, value)| value.is_finite()) {
+            lane.last_tick = tick;
+            lane.last_value = value;
+        }
+        lane.interval = Interval::new_clamped(snapshot.interval).min(config.max_interval());
         // The counter rises past the patience while the interval sits at
         // its maximum; cap it only far away, where a hostile value could
         // overflow subsequent increments.
-        sampler.consecutive_ok = snapshot.consecutive_ok.min(u32::MAX / 2);
+        lane.consecutive_ok = snapshot.consecutive_ok.min(u32::MAX / 2);
         sampler.total_samples = snapshot.total_samples;
         sampler
     }
 
     /// Resets the sampler to its initial state (default interval, fresh
-    /// statistics). The error allowance is preserved.
+    /// statistics). The threshold and error allowance are preserved.
     pub fn reset(&mut self) {
-        self.tracker.reset();
-        self.interval = Interval::DEFAULT;
-        self.consecutive_ok = 0;
-        self.period_beta_current_sum = 0.0;
-        self.period_beta_grown_sum = 0.0;
-        self.period_reduction_sum = 0.0;
-        self.period_observations = 0;
-        self.period_cost_sums.iter_mut().for_each(|s| *s = 0.0);
+        self.lane = Lane::new(self.lane.threshold);
+        self.clear_period();
     }
 }
 
@@ -773,6 +869,34 @@ mod tests {
         assert_eq!(sampler.interval(), interval_before);
         assert_eq!(sampler.stats().count(), 1);
         assert_eq!(sampler.total_samples(), 2);
+    }
+
+    #[test]
+    fn delta_hat_uses_elapsed_ticks() {
+        let mut sampler = AdaptiveSampler::new(quiet_config(), 100.0);
+        sampler.observe_forced(0, 0.0);
+        sampler.observe_forced(4, 8.0);
+        assert_eq!(sampler.stats().mean(), 2.0);
+        // A sample that does not advance time replaces the cached sample
+        // without polluting statistics.
+        sampler.observe_forced(4, 100.0);
+        assert_eq!(sampler.stats().count(), 1);
+        sampler.observe_forced(5, 102.0);
+        assert_eq!(sampler.stats().count(), 2);
+        assert_eq!(sampler.stats().mean(), 2.0); // (2 + 2) / 2
+    }
+
+    #[test]
+    fn reset_clears_cached_sample() {
+        let mut sampler = AdaptiveSampler::new(quiet_config(), 100.0);
+        sampler.observe(0, 1.0);
+        sampler.reset();
+        sampler.observe(10, 5.0);
+        assert_eq!(
+            sampler.stats().count(),
+            0,
+            "first sample after reset seeds only"
+        );
     }
 
     #[test]

@@ -1,61 +1,31 @@
-//! Struct-of-arrays adaptive-sampler bank for fleet-scale hot paths.
+//! Adaptive-sampler bank for fleet-scale hot paths.
 //!
 //! [`AdaptiveSampler`](crate::AdaptiveSampler) is the right shape for one
 //! monitor: it carries the §III-B controller *and* the §IV-B
 //! updating-period aggregates (average `β(I+1)`, the measured
 //! cost-vs-allowance curve) that a task-level coordinator reads between
-//! reallocation rounds. Fleet simulations that never reallocate pay for
-//! those aggregates on every sample anyway — two extra bound evaluations,
-//! an allowance-ladder sweep, and a per-monitor heap vector — although
-//! they feed nothing.
+//! reallocation rounds. Fleet simulations that never reallocate would pay
+//! for those aggregates on every sample anyway — two extra bound
+//! evaluations, an allowance-ladder sweep, and a per-monitor heap vector —
+//! although they feed nothing.
 //!
-//! [`SamplerBank`] is the same §III-B decision algorithm over a
-//! struct-of-arrays layout: one bank holds every monitor of a shard, with
-//! each piece of controller state (threshold, δ statistics, interval,
-//! growth streak) in its own contiguous array. Scanning a shard's
-//! monitors walks flat arrays instead of hopping between heap-allocated
-//! sampler structs, and nothing is computed that does not feed the next
-//! decision.
-//!
-//! **Bit-exact contract:** for any observation stream,
-//! [`SamplerBank::observe`] returns exactly the decision fields of
-//! [`AdaptiveSampler::observe`](crate::AdaptiveSampler::observe) —
-//! `violation`, `beta`, `next_interval`, `next_sample_tick`, `collapsed`,
-//! `grew` — bit for bit. It runs the identical float operations in the
-//! identical order (the δ̂ update, the Welford/EWMA recurrence, the same
-//! [`misdetection_bound_with`] call); it only *skips* the §IV-B
-//! aggregates, which never influence decisions. The `parity` tests pin
-//! this equivalence over adversarial streams for both statistics kinds.
+//! [`SamplerBank`] holds every monitor of a shard as one contiguous array
+//! of controller lanes that share a configuration and an error allowance.
+//! Each lane runs the same §III-B step as `AdaptiveSampler` — the crate
+//! has one implementation of δ̂, the moment update, the warm-up gate,
+//! `β(I)` and the collapse/grow rule — so a bank and a sampler fed the
+//! same stream make the same decisions by construction. The bank only
+//! skips the §IV-B aggregates, which never influence decisions.
 
-use crate::adaptation::AdaptationConfig;
-use crate::likelihood::misdetection_bound_with;
-use crate::stats::StatsKind;
+use crate::adaptation::{AdaptationConfig, Lane, Observation};
 use crate::time::{Interval, Tick};
 
-/// Sentinel for "no previous sample" in [`SamplerBank::last_tick`].
-const NO_SAMPLE: Tick = Tick::MAX;
+/// Decision outcome of one bank observation: the same [`Observation`]
+/// an [`AdaptiveSampler`](crate::AdaptiveSampler) returns.
+pub type BankObservation = Observation;
 
-/// Decision outcome of one bank observation — the decision fields of
-/// [`Observation`](crate::Observation), bit-identical to what the
-/// equivalent [`AdaptiveSampler`](crate::AdaptiveSampler) would return.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BankObservation {
-    /// Whether the sampled value exceeded the threshold.
-    pub violation: bool,
-    /// The mis-detection bound `β(I)` for the interval in effect.
-    pub beta: f64,
-    /// The interval scheduling the next sample.
-    pub next_interval: Interval,
-    /// The tick at which the next regular sample is due.
-    pub next_sample_tick: Tick,
-    /// Whether this observation collapsed the interval to the default.
-    pub collapsed: bool,
-    /// Whether this observation grew the interval.
-    pub grew: bool,
-}
-
-/// A fleet of §III-B adaptive-sampling controllers in struct-of-arrays
-/// layout (see module docs).
+/// A fleet of §III-B adaptive-sampling controllers sharing one
+/// configuration (see module docs).
 ///
 /// ```
 /// use volley_core::{AdaptationConfig, AdaptiveSampler, SamplerBank};
@@ -73,8 +43,7 @@ pub struct BankObservation {
 /// for _ in 0..50 {
 ///     let a = bank.observe(vm, tick, 10.0);
 ///     let b = sampler.observe(tick, 10.0);
-///     assert_eq!(a.next_sample_tick, b.next_sample_tick);
-///     assert_eq!(a.beta.to_bits(), b.beta.to_bits());
+///     assert_eq!(a, b);
 ///     tick = a.next_sample_tick;
 /// }
 /// # Ok(())
@@ -84,23 +53,7 @@ pub struct BankObservation {
 pub struct SamplerBank {
     config: AdaptationConfig,
     err: f64,
-    /// Violation thresholds, one per monitor.
-    thresholds: Vec<f64>,
-    /// Tick of the previous sample (`NO_SAMPLE` before the first).
-    last_tick: Vec<Tick>,
-    /// Value of the previous sample.
-    last_value: Vec<f64>,
-    /// Active-estimator observation count (u64 so the EWMA counter
-    /// cannot wrap; the windowed estimator stays far below u32::MAX).
-    n: Vec<u64>,
-    /// Active-estimator mean of δ.
-    mean: Vec<f64>,
-    /// Active-estimator population variance of δ.
-    variance: Vec<f64>,
-    /// Current sampling interval in ticks (≥ 1).
-    interval: Vec<u32>,
-    /// Consecutive sub-slack observations toward the next growth.
-    consecutive_ok: Vec<u32>,
+    lanes: Vec<Lane>,
 }
 
 impl SamplerBank {
@@ -116,14 +69,7 @@ impl SamplerBank {
         SamplerBank {
             config,
             err: config.error_allowance(),
-            thresholds: Vec::with_capacity(monitors),
-            last_tick: Vec::with_capacity(monitors),
-            last_value: Vec::with_capacity(monitors),
-            n: Vec::with_capacity(monitors),
-            mean: Vec::with_capacity(monitors),
-            variance: Vec::with_capacity(monitors),
-            interval: Vec::with_capacity(monitors),
-            consecutive_ok: Vec::with_capacity(monitors),
+            lanes: Vec::with_capacity(monitors),
         }
     }
 
@@ -131,25 +77,18 @@ impl SamplerBank {
     /// starting (per the paper) at the default interval. Returns its
     /// index.
     pub fn push(&mut self, threshold: f64) -> usize {
-        self.thresholds.push(threshold);
-        self.last_tick.push(NO_SAMPLE);
-        self.last_value.push(0.0);
-        self.n.push(0);
-        self.mean.push(0.0);
-        self.variance.push(0.0);
-        self.interval.push(Interval::DEFAULT.get());
-        self.consecutive_ok.push(0);
-        self.thresholds.len() - 1
+        self.lanes.push(Lane::new(threshold));
+        self.lanes.len() - 1
     }
 
     /// Number of monitors in the bank.
     pub fn len(&self) -> usize {
-        self.thresholds.len()
+        self.lanes.len()
     }
 
     /// Whether the bank holds no monitors.
     pub fn is_empty(&self) -> bool {
-        self.thresholds.is_empty()
+        self.lanes.is_empty()
     }
 
     /// The shared adaptation configuration.
@@ -159,253 +98,30 @@ impl SamplerBank {
 
     /// The violation threshold of monitor `idx`.
     pub fn threshold(&self, idx: usize) -> f64 {
-        self.thresholds[idx]
+        self.lanes[idx].threshold
     }
 
     /// The sampling interval of monitor `idx` currently in effect.
     pub fn interval(&self, idx: usize) -> Interval {
-        Interval::new_clamped(self.interval[idx])
+        self.lanes[idx].interval
     }
 
-    /// Processes one sampling operation of monitor `idx` at `tick` —
-    /// the §III-B algorithm of
+    /// Processes one sampling operation of monitor `idx` at `tick` — the
+    /// §III-B step of
     /// [`AdaptiveSampler::observe`](crate::AdaptiveSampler::observe),
-    /// minus the §IV-B period aggregates (which feed no decision).
+    /// without the §IV-B period aggregates (which feed no decision).
     ///
     /// # Panics
     ///
     /// Panics when `idx` is out of bounds.
     pub fn observe(&mut self, idx: usize, tick: Tick, value: f64) -> BankObservation {
-        // δ̂ statistics update (DeltaTracker::record): prefer the actual
-        // elapsed tick gap, fall back to the declared interval.
-        let last_tick = self.last_tick[idx];
-        if last_tick != NO_SAMPLE && tick > last_tick {
-            let elapsed = (tick - last_tick) as f64;
-            let declared = f64::from(self.interval[idx]);
-            let gap = if elapsed > 0.0 { elapsed } else { declared };
-            let delta_hat = (value - self.last_value[idx]) / gap;
-            self.update_stats(idx, delta_hat);
-        }
-        self.last_tick[idx] = tick;
-        self.last_value[idx] = value;
-
-        let threshold = self.thresholds[idx];
-        let violation = value > threshold;
-
-        let (mu, sigma, observations) =
-            (self.mean[idx], self.variance[idx].sqrt(), self.count(idx));
-        let warmed = observations >= self.config.warmup_samples().max(2);
-        let beta_current = if warmed {
-            misdetection_bound_with(
-                self.config.bound(),
-                value,
-                threshold,
-                mu,
-                sigma,
-                self.interval[idx],
-            )
-        } else {
-            // Until statistics warm up, claim nothing: a vacuous bound
-            // keeps the monitor at the default interval.
-            1.0
-        };
-
-        let mut collapsed = false;
-        let mut grew = false;
-        let interval = &mut self.interval[idx];
-        let ok = &mut self.consecutive_ok[idx];
-        if self.err <= 0.0 {
-            *interval = Interval::DEFAULT.get();
-            *ok = 0;
-        } else if beta_current > self.err {
-            if warmed || *interval > Interval::DEFAULT.get() {
-                collapsed = *interval > Interval::DEFAULT.get();
-                *interval = Interval::DEFAULT.get();
-            }
-            *ok = 0;
-        } else if beta_current <= self.config.grow_threshold(self.err) {
-            *ok += 1;
-            if *ok >= self.config.patience() && *interval < self.config.max_interval().get() {
-                *interval = interval
-                    .saturating_add(1)
-                    .min(self.config.max_interval().get());
-                *ok = 0;
-                grew = true;
-            }
-        } else {
-            *ok = 0;
-        }
-
-        let next_interval = Interval::new_clamped(*interval);
-        BankObservation {
-            violation,
-            beta: beta_current,
-            next_interval,
-            next_sample_tick: tick + u64::from(next_interval),
-            collapsed,
-            grew,
-        }
-    }
-
-    /// Active-estimator observation count, as
-    /// [`DeltaTracker::count`](crate::DeltaTracker::count) reports it.
-    fn count(&self, idx: usize) -> u32 {
-        self.n[idx].min(u64::from(u32::MAX)) as u32
-    }
-
-    /// One δ̂ observation into the active estimator — the exact float
-    /// recurrence of [`OnlineStats::update`](crate::OnlineStats::update)
-    /// or [`EwmaStats::update`](crate::EwmaStats::update).
-    fn update_stats(&mut self, idx: usize, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        match self.config.stats() {
-            StatsKind::WindowedRestart => {
-                let restart_after = u64::from(self.config.restart_after().max(2));
-                if self.n[idx] >= restart_after {
-                    self.n[idx] = 0;
-                    self.mean[idx] = 0.0;
-                    self.variance[idx] = 0.0;
-                }
-                self.n[idx] += 1;
-                let n = self.n[idx] as f64;
-                let prev_mean = self.mean[idx];
-                self.mean[idx] = prev_mean + (delta - prev_mean) / n;
-                self.variance[idx] = ((n - 1.0) * self.variance[idx]
-                    + (delta - self.mean[idx]) * (delta - prev_mean))
-                    / n;
-                if self.variance[idx] < 0.0 {
-                    self.variance[idx] = 0.0;
-                }
-            }
-            StatsKind::Ewma { lambda } => {
-                // EwmaStats::new clamps λ the same way.
-                let lambda = if lambda.is_finite() {
-                    lambda.clamp(1e-6, 1.0)
-                } else {
-                    0.05
-                };
-                self.n[idx] += 1;
-                if self.n[idx] == 1 {
-                    self.mean[idx] = delta;
-                    self.variance[idx] = 0.0;
-                    return;
-                }
-                let diff = delta - self.mean[idx];
-                let incr = lambda * diff;
-                self.mean[idx] += incr;
-                self.variance[idx] = (1.0 - lambda) * (self.variance[idx] + diff * incr);
-                if self.variance[idx] < 0.0 {
-                    self.variance[idx] = 0.0;
-                }
-            }
-        }
+        self.lanes[idx].observe(&self.config, self.err, tick, value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdaptiveSampler;
-
-    fn assert_parity(config: AdaptationConfig, threshold: f64, values: &[f64]) {
-        let mut sampler = AdaptiveSampler::new(config, threshold);
-        let mut bank = SamplerBank::new(config);
-        let idx = bank.push(threshold);
-        let mut tick = 0u64;
-        for (i, &value) in values.iter().enumerate() {
-            let a = sampler.observe(tick, value);
-            let b = bank.observe(idx, tick, value);
-            assert_eq!(a.violation, b.violation, "step {i}");
-            assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "step {i}");
-            assert_eq!(a.next_interval, b.next_interval, "step {i}");
-            assert_eq!(a.next_sample_tick, b.next_sample_tick, "step {i}");
-            assert_eq!(a.collapsed, b.collapsed, "step {i}");
-            assert_eq!(a.grew, b.grew, "step {i}");
-            assert_eq!(sampler.interval(), bank.interval(idx), "step {i}");
-            tick = a.next_sample_tick;
-        }
-    }
-
-    /// Deterministic adversarial stream: calm stretches, near-threshold
-    /// values, spikes, and exact-threshold samples (vacuous bound).
-    fn stream(seed: u64, len: usize, threshold: f64) -> Vec<f64> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        (0..len)
-            .map(|_| {
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^= x >> 29;
-                match x % 100 {
-                    0..=1 => threshold + 5.0,    // violation
-                    2..=3 => threshold,          // headroom exactly zero
-                    4..=9 => threshold - 1.0,    // risky bound
-                    _ => 10.0 + (x % 13) as f64, // calm band
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parity_windowed_restart() {
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .max_interval(8)
-            .patience(3)
-            .warmup_samples(3)
-            .build()
-            .unwrap();
-        for seed in 1..=8 {
-            assert_parity(config, 100.0, &stream(seed, 600, 100.0));
-        }
-    }
-
-    #[test]
-    fn parity_ewma() {
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .max_interval(8)
-            .patience(3)
-            .warmup_samples(3)
-            .stats(StatsKind::Ewma { lambda: 0.1 })
-            .build()
-            .unwrap();
-        for seed in 1..=8 {
-            assert_parity(config, 100.0, &stream(seed, 600, 100.0));
-        }
-    }
-
-    #[test]
-    fn parity_across_restart_boundary() {
-        // A tiny restart window forces the windowed estimator through
-        // many restarts; the bank must restart at the same steps.
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.05)
-            .max_interval(8)
-            .patience(2)
-            .warmup_samples(2)
-            .restart_after(7)
-            .build()
-            .unwrap();
-        assert_parity(config, 100.0, &stream(42, 400, 100.0));
-    }
-
-    #[test]
-    fn parity_zero_allowance_periodic() {
-        let config = AdaptationConfig::builder()
-            .error_allowance(0.0)
-            .max_interval(8)
-            .patience(1)
-            .build()
-            .unwrap();
-        assert_parity(config, 50.0, &stream(3, 100, 50.0));
-    }
-
-    #[test]
-    fn parity_paper_defaults_long_run() {
-        assert_parity(AdaptationConfig::default(), 99.0, &stream(7, 2000, 99.0));
-    }
 
     #[test]
     fn bank_holds_independent_monitors() {
@@ -437,18 +153,23 @@ mod tests {
 
     #[test]
     fn non_finite_values_do_not_poison_statistics() {
-        let config = AdaptationConfig::default();
-        let mut sampler = AdaptiveSampler::new(config, 100.0);
+        let config = AdaptationConfig::builder()
+            .error_allowance(0.05)
+            .max_interval(8)
+            .patience(3)
+            .warmup_samples(3)
+            .build()
+            .unwrap();
         let mut bank = SamplerBank::new(config);
         let idx = bank.push(100.0);
         let values = [10.0, f64::NAN, 12.0, f64::INFINITY, 11.0, 10.5, 10.2];
         let mut tick = 0u64;
-        for &value in &values {
-            let a = sampler.observe(tick, value);
-            let b = bank.observe(idx, tick, value);
-            assert_eq!(a.next_sample_tick, b.next_sample_tick);
-            assert_eq!(a.beta.to_bits(), b.beta.to_bits());
-            tick = a.next_sample_tick;
+        for &value in values.iter().chain(&[10.0; 40]) {
+            let obs = bank.observe(idx, tick, value);
+            assert!(!obs.beta.is_nan());
+            tick = obs.next_sample_tick;
         }
+        // The poisoned δ̂s were dropped, so a calm tail still grows.
+        assert!(bank.interval(idx) > Interval::DEFAULT);
     }
 }

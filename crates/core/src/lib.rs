@@ -98,7 +98,7 @@ pub use likelihood::{exceed_probability_bound, misdetection_bound, BoundKind};
 pub use sampler::{PeriodicSampler, ReactiveSampler, SamplingPolicy};
 pub use service::{Alert, MonitoringService, TaskKind};
 pub use snapshot::{DeltaSnapshot, EwmaSnapshot, SamplerSnapshot, StatsSnapshot};
-pub use stats::{DeltaTracker, EwmaStats, OnlineStats, StatsKind};
+pub use stats::{EwmaStats, OnlineStats, StatsKind};
 pub use task::{MonitorId, MonitorSpec, TaskId, TaskSpec};
 pub use threshold::{selectivity_threshold, ThresholdSplit};
 pub use time::{Interval, Tick};

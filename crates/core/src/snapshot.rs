@@ -55,14 +55,16 @@ pub struct EwmaSnapshot {
     pub n: u64,
 }
 
-/// Snapshot of a [`DeltaTracker`](crate::DeltaTracker): the δ statistics
-/// plus the cached last sample the next δ̂ will be computed against.
+/// Snapshot of a sampler's δ statistics plus the cached last sample the
+/// next δ̂ will be computed against. Only the active estimator's part
+/// carries moments: with [`StatsKind::Ewma`](crate::StatsKind::Ewma) the
+/// `ewma` part holds them and `stats` is an empty window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeltaSnapshot {
     /// The windowed-restart accumulator.
     pub stats: StatsSnapshot,
-    /// The optional exponentially-forgetting accumulator (active
-    /// estimator when present).
+    /// The exponentially-forgetting accumulator, present when it is the
+    /// active estimator.
     pub ewma: Option<EwmaSnapshot>,
     /// Most recent `(tick, value)` sample, if any.
     pub last: Option<(Tick, f64)>,
@@ -102,7 +104,7 @@ pub(crate) fn finite_or_zero(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{DeltaTracker, EwmaStats, OnlineStats};
+    use crate::stats::{EwmaStats, OnlineStats, StatsKind};
     use crate::time::Interval;
     use crate::AdaptiveSampler;
 
@@ -157,23 +159,44 @@ mod tests {
     }
 
     #[test]
-    fn tracker_round_trip_preserves_last_sample() {
-        let mut t = DeltaTracker::with_ewma(0.2);
-        t.record(0, 10.0, Interval::DEFAULT);
-        t.record(3, 16.0, Interval::new_clamped(3));
-        let back = DeltaTracker::from_snapshot(&t.to_snapshot());
-        assert_eq!(back, t);
-        assert_eq!(back.last_sample(), Some((3, 16.0)));
+    fn ewma_sampler_round_trip_preserves_last_sample() {
+        let cfg = AdaptationConfig::builder()
+            .stats(StatsKind::Ewma { lambda: 0.2 })
+            .build()
+            .unwrap();
+        let mut sampler = AdaptiveSampler::new(cfg, 100.0);
+        sampler.observe(0, 10.0);
+        sampler.observe(3, 16.0);
+        sampler.drain_period_report();
+        let snap = sampler.to_snapshot();
+        assert_eq!(snap.tracker.last, Some((3, 16.0)));
+        assert_eq!(snap.tracker.ewma.map(|e| e.n), Some(1));
+        assert_eq!(
+            snap.tracker.stats.n, 0,
+            "only the active estimator is written"
+        );
+        let mut back = AdaptiveSampler::from_snapshot(&snap);
+        assert_eq!(back, sampler);
+        // The restored last sample anchors the next δ̂.
+        assert_eq!(back.observe(4, 17.0), sampler.observe(4, 17.0));
+        assert_eq!(back.stats().count(), 2);
     }
 
     #[test]
-    fn tracker_restore_drops_non_finite_last_sample() {
-        let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
-        let mut snap = t.to_snapshot();
-        snap.last = Some((5, f64::NAN));
-        let back = DeltaTracker::from_snapshot(&snap);
-        assert_eq!(back.last_sample(), None, "poisoned cache is discarded");
+    fn sampler_restore_drops_non_finite_last_sample() {
+        let mut sampler = AdaptiveSampler::new(AdaptationConfig::default(), 100.0);
+        sampler.observe(0, 1.0);
+        let mut snap = sampler.to_snapshot();
+        snap.tracker.last = Some((5, f64::NAN));
+        let mut back = AdaptiveSampler::from_snapshot(&snap);
+        assert_eq!(
+            back.to_snapshot().tracker.last,
+            None,
+            "poisoned cache is discarded"
+        );
+        // The next sample re-seeds the cache instead of producing a δ̂.
+        back.observe(6, 2.0);
+        assert_eq!(back.stats().count(), 0);
     }
 
     #[test]

@@ -11,20 +11,22 @@
 //! σ²_n = ((n-1)·σ²_{n-1} + (δ - μ_n)(δ - μ_{n-1})) / n
 //! ```
 //!
-//! Two further details from the paper are implemented here:
+//! Two further details from the paper apply:
 //!
 //! 1. **Coarse-interval updates.** When sampling with interval `I > 1`, the
 //!    per-default-interval change is estimated as
-//!    `δ̂ = (v(t) − v(t−I)) / I` and `δ̂` feeds the statistics
-//!    ([`DeltaTracker::record`]).
+//!    `δ̂ = (v(t) − v(t−I)) / I` by the controller before it feeds the
+//!    statistics (see [`crate::adaptation`]).
 //! 2. **Windowed restart.** To track drifting distributions, the statistics
 //!    are restarted (`n = 0`) once `n` exceeds a restart limit (1000 in the
 //!    paper).
+//!
+//! Both estimators ([`OnlineStats`] and the [`EwmaStats`] extension) and the
+//! controller itself run the same recurrence (`Moments::update`).
 
 use serde::{Deserialize, Serialize};
 
-use crate::snapshot::{finite_or_zero, DeltaSnapshot, EwmaSnapshot, StatsSnapshot};
-use crate::time::{Interval, Tick};
+use crate::snapshot::{finite_or_zero, EwmaSnapshot, StatsSnapshot};
 
 /// Which δ-statistics estimator the adaptation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -44,6 +46,88 @@ pub enum StatsKind {
 /// Number of δ observations after which the paper restarts statistics
 /// accumulation (§III-B: "setting n = 0 when n > 1000").
 pub const DEFAULT_RESTART_AFTER: u32 = 1000;
+
+/// Clamps a forgetting factor into `(0, 1]`; non-finite values fall back
+/// to 0.05.
+pub(crate) fn clamp_lambda(lambda: f64) -> f64 {
+    if lambda.is_finite() {
+        lambda.clamp(1e-6, 1.0)
+    } else {
+        0.05
+    }
+}
+
+/// The δ moments every estimator keeps: observation count, mean and
+/// population variance.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub(crate) struct Moments {
+    pub(crate) n: u64,
+    pub(crate) mean: f64,
+    pub(crate) variance: f64,
+}
+
+impl Moments {
+    /// Moments restored from a possibly hostile snapshot: non-finite
+    /// floats become 0 and the variance is floored at 0.
+    fn restored(n: u64, mean: f64, variance: f64) -> Self {
+        Moments {
+            n,
+            mean: finite_or_zero(mean),
+            variance: finite_or_zero(variance).max(0.0),
+        }
+    }
+
+    /// Folds one δ observation in with `kind`'s recurrence — the only
+    /// copy of either recurrence in the crate. The windowed estimator
+    /// first restarts (`n = 0`) once `n` reaches `restart_after` (floored
+    /// at 2). Non-finite observations are ignored: they would poison the
+    /// statistics and thereby disable adaptation permanently. Returns
+    /// whether a windowed restart happened.
+    #[inline]
+    pub(crate) fn update(&mut self, kind: StatsKind, restart_after: u32, delta: f64) -> bool {
+        if !delta.is_finite() {
+            return false;
+        }
+        let mut restarted = false;
+        match kind {
+            StatsKind::WindowedRestart => {
+                if self.n >= u64::from(restart_after.max(2)) {
+                    // Paper: "periodically restarts the statistics updating
+                    // by setting n = 0 when n > 1000". The running values
+                    // are discarded so the next window reflects only fresh
+                    // data.
+                    *self = Moments::default();
+                    restarted = true;
+                }
+                self.n += 1;
+                let n = self.n as f64;
+                let prev_mean = self.mean;
+                self.mean = prev_mean + (delta - prev_mean) / n;
+                self.variance =
+                    ((n - 1.0) * self.variance + (delta - self.mean) * (delta - prev_mean)) / n;
+            }
+            StatsKind::Ewma { lambda } => {
+                let lambda = clamp_lambda(lambda);
+                self.n += 1;
+                if self.n == 1 {
+                    self.mean = delta;
+                    self.variance = 0.0;
+                    return false;
+                }
+                let diff = delta - self.mean;
+                let incr = lambda * diff;
+                self.mean += incr;
+                self.variance = (1.0 - lambda) * (self.variance + diff * incr);
+            }
+        }
+        // Guard against tiny negative values caused by floating-point
+        // cancellation; variance is non-negative by definition.
+        if self.variance < 0.0 {
+            self.variance = 0.0;
+        }
+        restarted
+    }
+}
 
 /// Online mean/variance accumulator using the paper's update equations.
 ///
@@ -66,9 +150,7 @@ pub const DEFAULT_RESTART_AFTER: u32 = 1000;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
-    n: u32,
-    mean: f64,
-    variance: f64,
+    moments: Moments,
     restart_after: u32,
     /// Number of restarts performed so far (diagnostic).
     restarts: u32,
@@ -84,13 +166,21 @@ impl OnlineStats {
     /// Creates an empty accumulator that restarts after `restart_after`
     /// observations. A value of `u32::MAX` effectively disables restarts.
     pub fn with_restart_after(restart_after: u32) -> Self {
+        Self::from_moments(Moments::default(), restart_after)
+    }
+
+    /// An accumulator holding `moments`, with no restarts counted yet.
+    pub(crate) fn from_moments(moments: Moments, restart_after: u32) -> Self {
         OnlineStats {
-            n: 0,
-            mean: 0.0,
-            variance: 0.0,
+            moments,
             restart_after: restart_after.max(2),
             restarts: 0,
         }
+    }
+
+    /// The running moments.
+    pub(crate) fn moments(&self) -> Moments {
+        self.moments
     }
 
     /// Incorporates one δ observation.
@@ -98,49 +188,34 @@ impl OnlineStats {
     /// Non-finite observations are ignored (they would poison the
     /// statistics and thereby disable adaptation permanently).
     pub fn update(&mut self, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        if self.n >= self.restart_after {
-            // Paper: "periodically restarts the statistics updating by
-            // setting n = 0 when n > 1000". The running values are
-            // discarded so the next window reflects only fresh data.
-            self.n = 0;
-            self.mean = 0.0;
-            self.variance = 0.0;
+        if self
+            .moments
+            .update(StatsKind::WindowedRestart, self.restart_after, delta)
+        {
             self.restarts += 1;
-        }
-        self.n += 1;
-        let n = f64::from(self.n);
-        let prev_mean = self.mean;
-        self.mean = prev_mean + (delta - prev_mean) / n;
-        self.variance = ((n - 1.0) * self.variance + (delta - self.mean) * (delta - prev_mean)) / n;
-        // Guard against tiny negative values caused by floating-point
-        // cancellation; variance is non-negative by definition.
-        if self.variance < 0.0 {
-            self.variance = 0.0;
         }
     }
 
     /// Current mean of δ (0 when no observation has been made).
     pub fn mean(&self) -> f64 {
-        self.mean
+        self.moments.mean
     }
 
     /// Current population variance of δ (0 when fewer than two
     /// observations have been made).
     pub fn variance(&self) -> f64 {
-        self.variance
+        self.moments.variance
     }
 
     /// Current population standard deviation of δ.
     pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
+        self.moments.variance.sqrt()
     }
 
-    /// Number of observations in the current window.
+    /// Number of observations in the current window (saturating to
+    /// `u32`).
     pub fn count(&self) -> u32 {
-        self.n
+        u32::try_from(self.moments.n).unwrap_or(u32::MAX)
     }
 
     /// Number of windowed restarts performed so far.
@@ -152,23 +227,21 @@ impl OnlineStats {
     /// be meaningful. The likelihood bound needs a variance estimate, so at
     /// least two observations are required; callers may demand more.
     pub fn is_warmed_up(&self) -> bool {
-        self.n >= 2
+        self.moments.n >= 2
     }
 
     /// Discards all state, beginning a fresh window (counts as a restart).
     pub fn reset(&mut self) {
-        self.n = 0;
-        self.mean = 0.0;
-        self.variance = 0.0;
+        self.moments = Moments::default();
         self.restarts += 1;
     }
 
     /// Captures the accumulator state for checkpointing.
     pub fn to_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            n: self.n,
-            mean: self.mean,
-            variance: self.variance,
+            n: self.count(),
+            mean: self.moments.mean,
+            variance: self.moments.variance,
             restart_after: self.restart_after,
             restarts: self.restarts,
         }
@@ -181,9 +254,7 @@ impl OnlineStats {
     /// panics or poisons later updates.
     pub fn from_snapshot(snapshot: &StatsSnapshot) -> Self {
         OnlineStats {
-            n: snapshot.n,
-            mean: finite_or_zero(snapshot.mean),
-            variance: finite_or_zero(snapshot.variance).max(0.0),
+            moments: Moments::restored(u64::from(snapshot.n), snapshot.mean, snapshot.variance),
             restart_after: snapshot.restart_after.max(2),
             restarts: snapshot.restarts,
         }
@@ -214,25 +285,16 @@ impl Default for OnlineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EwmaStats {
     lambda: f64,
-    mean: f64,
-    variance: f64,
-    n: u64,
+    moments: Moments,
 }
 
 impl EwmaStats {
     /// Creates an accumulator with forgetting factor `λ ∈ (0, 1]`
     /// (clamped into range; 1 means "only the latest observation").
     pub fn new(lambda: f64) -> Self {
-        let lambda = if lambda.is_finite() {
-            lambda.clamp(1e-6, 1.0)
-        } else {
-            0.05
-        };
         EwmaStats {
-            lambda,
-            mean: 0.0,
-            variance: 0.0,
-            n: 0,
+            lambda: clamp_lambda(lambda),
+            moments: Moments::default(),
         }
     }
 
@@ -241,213 +303,56 @@ impl EwmaStats {
         self.lambda
     }
 
+    /// The running moments.
+    pub(crate) fn moments(&self) -> Moments {
+        self.moments
+    }
+
     /// Incorporates one δ observation; non-finite values are ignored.
     pub fn update(&mut self, delta: f64) {
-        if !delta.is_finite() {
-            return;
-        }
-        self.n += 1;
-        if self.n == 1 {
-            self.mean = delta;
-            self.variance = 0.0;
-            return;
-        }
-        let diff = delta - self.mean;
-        let incr = self.lambda * diff;
-        self.mean += incr;
-        self.variance = (1.0 - self.lambda) * (self.variance + diff * incr);
-        if self.variance < 0.0 {
-            self.variance = 0.0;
-        }
+        let kind = StatsKind::Ewma {
+            lambda: self.lambda,
+        };
+        self.moments.update(kind, 0, delta);
     }
 
     /// Current exponentially-weighted mean.
     pub fn mean(&self) -> f64 {
-        self.mean
+        self.moments.mean
     }
 
     /// Current exponentially-weighted variance.
     pub fn variance(&self) -> f64 {
-        self.variance
+        self.moments.variance
     }
 
     /// Current exponentially-weighted standard deviation.
     pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
+        self.moments.variance.sqrt()
     }
 
     /// Observations consumed so far.
     pub fn count(&self) -> u64 {
-        self.n
+        self.moments.n
     }
 
     /// Captures the accumulator state for checkpointing.
     pub fn to_snapshot(&self) -> EwmaSnapshot {
         EwmaSnapshot {
             lambda: self.lambda,
-            mean: self.mean,
-            variance: self.variance,
-            n: self.n,
+            mean: self.moments.mean,
+            variance: self.moments.variance,
+            n: self.moments.n,
         }
     }
 
     /// Rebuilds an accumulator from a snapshot; `λ` passes through the
     /// constructor's clamp and non-finite moments are zeroed.
     pub fn from_snapshot(snapshot: &EwmaSnapshot) -> Self {
-        let mut ewma = EwmaStats::new(snapshot.lambda);
-        ewma.mean = finite_or_zero(snapshot.mean);
-        ewma.variance = finite_or_zero(snapshot.variance).max(0.0);
-        ewma.n = snapshot.n;
-        ewma
-    }
-}
-
-/// Couples an [`OnlineStats`] accumulator with the previous sampled value
-/// so that coarse-interval samples update the per-default-interval δ
-/// statistics correctly.
-///
-/// ```
-/// use volley_core::{DeltaTracker, Interval};
-///
-/// let mut tracker = DeltaTracker::new();
-/// tracker.record(0, 10.0, Interval::DEFAULT);
-/// tracker.record(3, 16.0, Interval::new(3).unwrap()); // δ̂ = (16-10)/3 = 2
-/// assert_eq!(tracker.stats().mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeltaTracker {
-    stats: OnlineStats,
-    /// Optional exponentially-forgetting estimator; when present it is
-    /// the one the likelihood machinery reads (the windowed accumulator
-    /// keeps running alongside for diagnostics).
-    ewma: Option<EwmaStats>,
-    last: Option<(Tick, f64)>,
-}
-
-impl DeltaTracker {
-    /// Creates a tracker with the default restart window.
-    pub fn new() -> Self {
-        DeltaTracker {
-            stats: OnlineStats::new(),
-            ewma: None,
-            last: None,
+        EwmaStats {
+            lambda: clamp_lambda(snapshot.lambda),
+            moments: Moments::restored(snapshot.n, snapshot.mean, snapshot.variance),
         }
-    }
-
-    /// Creates a tracker whose statistics restart after `restart_after`
-    /// observations.
-    pub fn with_restart_after(restart_after: u32) -> Self {
-        DeltaTracker {
-            stats: OnlineStats::with_restart_after(restart_after),
-            ewma: None,
-            last: None,
-        }
-    }
-
-    /// Creates a tracker whose *active* estimator is exponentially
-    /// forgetting with factor `lambda` (see [`EwmaStats`]).
-    pub fn with_ewma(lambda: f64) -> Self {
-        DeltaTracker {
-            stats: OnlineStats::new(),
-            ewma: Some(EwmaStats::new(lambda)),
-            last: None,
-        }
-    }
-
-    /// Mean of δ from the active estimator.
-    pub fn mean(&self) -> f64 {
-        match &self.ewma {
-            Some(e) => e.mean(),
-            None => self.stats.mean(),
-        }
-    }
-
-    /// Standard deviation of δ from the active estimator.
-    pub fn std_dev(&self) -> f64 {
-        match &self.ewma {
-            Some(e) => e.std_dev(),
-            None => self.stats.std_dev(),
-        }
-    }
-
-    /// Observation count of the active estimator (saturating to `u32`).
-    pub fn count(&self) -> u32 {
-        match &self.ewma {
-            Some(e) => e.count().min(u64::from(u32::MAX)) as u32,
-            None => self.stats.count(),
-        }
-    }
-
-    /// Records a sampled `value` observed at `tick`, where `interval` is
-    /// the sampling interval that *produced* this sample (the gap since the
-    /// previous sample).
-    ///
-    /// The per-default-interval delta estimate `δ̂ = Δv / interval` is fed
-    /// into the statistics. If `tick` does not advance past the previous
-    /// sample (e.g. a forced global-poll sample at the same tick), the
-    /// observation only replaces the cached value.
-    pub fn record(&mut self, tick: Tick, value: f64, interval: Interval) {
-        if let Some((last_tick, last_value)) = self.last {
-            if tick > last_tick {
-                // Prefer the actual elapsed gap when it is known from the
-                // tick axis; fall back to the declared interval.
-                let elapsed = (tick - last_tick) as f64;
-                let declared = f64::from(interval.get());
-                let gap = if elapsed > 0.0 { elapsed } else { declared };
-                let delta_hat = (value - last_value) / gap;
-                self.stats.update(delta_hat);
-                if let Some(e) = &mut self.ewma {
-                    e.update(delta_hat);
-                }
-            }
-        }
-        self.last = Some((tick, value));
-    }
-
-    /// The underlying statistics accumulator.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
-    /// Most recent `(tick, value)` pair, if any sample has been recorded.
-    pub fn last_sample(&self) -> Option<(Tick, f64)> {
-        self.last
-    }
-
-    /// Clears both the statistics and the cached last sample.
-    pub fn reset(&mut self) {
-        self.stats.reset();
-        if let Some(e) = &mut self.ewma {
-            *e = EwmaStats::new(e.lambda());
-        }
-        self.last = None;
-    }
-
-    /// Captures the tracker state for checkpointing.
-    pub fn to_snapshot(&self) -> DeltaSnapshot {
-        DeltaSnapshot {
-            stats: self.stats.to_snapshot(),
-            ewma: self.ewma.map(|e| e.to_snapshot()),
-            last: self.last,
-        }
-    }
-
-    /// Rebuilds a tracker from a snapshot. A cached last sample with a
-    /// non-finite value is discarded (the next sample re-seeds the cache
-    /// instead of producing a poisoned δ̂); the presence of an EWMA
-    /// snapshot restores the exponentially-forgetting active estimator.
-    pub fn from_snapshot(snapshot: &DeltaSnapshot) -> Self {
-        DeltaTracker {
-            stats: OnlineStats::from_snapshot(&snapshot.stats),
-            ewma: snapshot.ewma.map(|e| EwmaStats::from_snapshot(&e)),
-            last: snapshot.last.filter(|(_, value)| value.is_finite()),
-        }
-    }
-}
-
-impl Default for DeltaTracker {
-    fn default() -> Self {
-        DeltaTracker::new()
     }
 }
 
@@ -527,34 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn tracker_uses_elapsed_ticks_for_delta_hat() {
-        let mut t = DeltaTracker::new();
-        t.record(0, 0.0, Interval::DEFAULT);
-        t.record(4, 8.0, Interval::new(4).unwrap());
-        assert_eq!(t.stats().mean(), 2.0);
-        // A sample that does not advance time replaces the cache without
-        // polluting statistics.
-        t.record(4, 100.0, Interval::DEFAULT);
-        assert_eq!(t.stats().count(), 1);
-        t.record(5, 102.0, Interval::DEFAULT);
-        assert_eq!(t.stats().count(), 2);
-        assert_eq!(t.stats().mean(), 2.0); // (2 + 2) / 2
-    }
-
-    #[test]
-    fn tracker_reset_clears_cache() {
-        let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
-        t.reset();
-        assert_eq!(t.last_sample(), None);
-        t.record(10, 5.0, Interval::DEFAULT);
-        assert_eq!(t.stats().count(), 0); // first sample after reset seeds only
-    }
-
-    #[test]
     fn default_constructors_agree() {
         assert_eq!(OnlineStats::default(), OnlineStats::new());
-        assert_eq!(DeltaTracker::default().stats().count(), 0);
     }
 
     #[test]
@@ -608,11 +487,11 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let mut t = DeltaTracker::new();
-        t.record(0, 1.0, Interval::DEFAULT);
-        t.record(1, 2.0, Interval::DEFAULT);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: DeltaTracker = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
+        let mut stats = OnlineStats::new();
+        stats.update(1.0);
+        stats.update(2.0);
+        let json = serde_json::to_string(&stats).unwrap();
+        let back: OnlineStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, stats);
     }
 }

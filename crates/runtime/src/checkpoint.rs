@@ -49,6 +49,7 @@ use serde::{Deserialize, Serialize};
 use volley_core::snapshot::SamplerSnapshot;
 use volley_core::time::Tick;
 use volley_core::vfs::{CircuitBreaker, StdFs, Vfs, VfsFile};
+use volley_store::crc32;
 
 /// Upper bound on a record payload. A bit-flipped length field would
 /// otherwise make recovery attempt a multi-gigabyte read.
@@ -64,43 +65,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
 const FRAME_OVERHEAD: usize = 8;
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time
-// so the hot append path is a byte-per-iteration table lookup.
-// ---------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        let idx = ((crc ^ u32::from(byte)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------
 // Record types
@@ -709,13 +673,6 @@ mod tests {
         let dir = std::env::temp_dir().join("volley-checkpoint-tests");
         fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}.wal", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::coordinator::DEFAULT_TICK_DEADLINE;
-use crate::failure::{FailureInjector, FaultPlan};
+use crate::failure::FaultPlan;
 use crate::runner::{RuntimeReport, TaskRunner};
 
 /// One task submission for a fleet run.
@@ -28,8 +28,6 @@ pub struct FleetTask {
     pub traces: Vec<Vec<f64>>,
     /// Allowance-allocation scheme.
     pub scheme: CoordinationScheme,
-    /// Violation-report loss injection.
-    pub failure: FailureInjector,
     /// Deterministic fault plan (crashes, stalls, drops, delays,
     /// duplication) for this task's run.
     pub fault_plan: FaultPlan,
@@ -47,14 +45,13 @@ pub struct FleetTask {
 }
 
 impl FleetTask {
-    /// Creates a submission with the default (adaptive) scheme, a
-    /// lossless report path and no injected faults.
+    /// Creates a submission with the default (adaptive) scheme and no
+    /// injected faults.
     pub fn from_spec(spec: TaskSpec, traces: Vec<Vec<f64>>) -> Self {
         FleetTask {
             spec,
             traces,
             scheme: CoordinationScheme::Adaptive,
-            failure: FailureInjector::lossless(),
             fault_plan: FaultPlan::default(),
             tick_deadline: DEFAULT_TICK_DEADLINE,
             standby: false,
@@ -178,7 +175,6 @@ impl FleetRunner {
                         let outcome = (|| {
                             let mut runner = TaskRunner::new(&task.spec)?
                                 .with_scheme(task.scheme)
-                                .with_failure(task.failure.clone())
                                 .with_fault_plan(task.fault_plan.clone())
                                 .with_tick_deadline(task.tick_deadline)
                                 .with_standby(task.standby);

@@ -50,9 +50,7 @@
 //! [`failure::FaultPlan`] drops, delays and duplicates protocol messages
 //! and schedules monitor crashes and stalls, purely as a function of
 //! `(seed, monitor, tick)`, so a run under a given plan is exactly
-//! reproducible. The legacy [`failure::FailureInjector`] (ordered,
-//! stateful loss on the violation-report path only) remains for the
-//! original accuracy experiments.
+//! reproducible.
 //!
 //! ```
 //! use volley_core::task::TaskSpec;
@@ -90,7 +88,7 @@ pub use checkpoint::{
     WalSyncPolicy,
 };
 pub use coordinator::CoordinatorActor;
-pub use failure::{FailureInjector, FaultPath, FaultPlan};
+pub use failure::{FaultPath, FaultPlan};
 pub use fleet::{FleetRunner, FleetSummary, FleetTask};
 pub use link::MonitorLink;
 pub use message::CoordinatorToRunner;

@@ -81,7 +81,6 @@ use volley_store::SampleRecorder;
 
 use crate::checkpoint::Wal;
 use crate::coordinator::CoordinatorActor;
-use crate::failure::FailureInjector;
 use crate::link::MonitorLink;
 use crate::message::{
     decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
@@ -485,7 +484,6 @@ impl MultiTaskRunner {
             allocator,
             task.spec.adaptation().slack_ratio(),
             true,
-            FailureInjector::lossless(),
         )
         .with_multitask(self.config.correlation.gated_interval.get())
         .with_external_gate_driver()

@@ -58,7 +58,7 @@ use volley_obs::{names, Obs};
 use volley_serve::ServePublisher;
 
 use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
-use crate::failure::{FailureInjector, FaultPlan};
+use crate::failure::FaultPlan;
 use crate::link::MonitorLink;
 use crate::message::{decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, TickData};
 use crate::runner::RuntimeReport;
@@ -507,7 +507,6 @@ impl NetCoordinator {
             allocator,
             self.spec.adaptation().slack_ratio(),
             true,
-            FailureInjector::lossless(),
         )
         .with_fault_plan(FaultPlan::default())
         .with_tick_deadline(self.tick_deadline)

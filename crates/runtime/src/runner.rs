@@ -24,7 +24,7 @@ use volley_store::SampleRecorder;
 
 use crate::checkpoint::{Wal, WalStats, WalSyncPolicy};
 use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
-use crate::failure::{FailureInjector, FaultPlan};
+use crate::failure::FaultPlan;
 use crate::link::MonitorLink;
 use crate::message::{
     decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, MonitorFrame,
@@ -183,7 +183,6 @@ pub struct TaskRunner {
     spec: TaskSpec,
     scheme: CoordinationScheme,
     allocation: AllocationConfig,
-    failure: FailureInjector,
     fault_plan: FaultPlan,
     tick_deadline: Duration,
     quarantine_after: u32,
@@ -224,7 +223,6 @@ impl TaskRunner {
             spec: spec.clone(),
             scheme: CoordinationScheme::Adaptive,
             allocation: AllocationConfig::default(),
-            failure: FailureInjector::lossless(),
             fault_plan: FaultPlan::default(),
             tick_deadline: DEFAULT_TICK_DEADLINE,
             quarantine_after: DEFAULT_QUARANTINE_AFTER,
@@ -305,14 +303,6 @@ impl TaskRunner {
     #[must_use]
     pub fn with_allocation(mut self, allocation: AllocationConfig) -> Self {
         self.allocation = allocation;
-        self
-    }
-
-    /// Injects message loss on the violation-report path (legacy,
-    /// order-dependent injector; prefer [`TaskRunner::with_fault_plan`]).
-    #[must_use]
-    pub fn with_failure(mut self, failure: FailureInjector) -> Self {
-        self.failure = failure;
         self
     }
 
@@ -855,7 +845,6 @@ impl TaskRunner {
             allocator,
             self.spec.adaptation().slack_ratio(),
             self.scheme == CoordinationScheme::Adaptive,
-            self.failure.clone(),
         )
         .with_fault_plan(plan)
         .with_tick_deadline(self.tick_deadline)
@@ -1020,6 +1009,7 @@ impl TaskRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FaultPath;
 
     fn spec(monitors: usize, threshold: f64, err: f64) -> TaskSpec {
         TaskSpec::builder(threshold)
@@ -1116,7 +1106,7 @@ mod tests {
         trace[30] = 99.0;
         let report = TaskRunner::new(&spec)
             .unwrap()
-            .with_failure(FailureInjector::new(1.0, 3))
+            .with_fault_plan(FaultPlan::new(3).with_drop_rate(FaultPath::ViolationReport, 1.0))
             .run([trace].as_ref())
             .unwrap();
         assert_eq!(report.alerts, 0, "all reports dropped → no alerts");

@@ -107,17 +107,17 @@ struct SampleEvent {
 }
 
 /// One coordinator group's slice of the monitoring fleet: the
-/// struct-of-arrays sampler bank, detection logs, value traces and Dom0
+/// sampler bank, detection logs, value traces and Dom0
 /// telemetry of its contiguous VM and server ranges. Everything is
 /// shard-local, so the sharded engine can run groups on different
 /// threads without the results depending on thread count.
 ///
-/// Monitor state lives in a [`SamplerBank`] — parallel arrays indexed
-/// by the VM's shard-local offset — so the tick hot path walks
-/// contiguous memory instead of chasing one heap-heavy
+/// Monitor state lives in a [`SamplerBank`] — one controller lane per
+/// VM, indexed by the VM's shard-local offset — so the tick hot path
+/// walks contiguous memory instead of chasing one heap-heavy
 /// `AdaptiveSampler` per VM, and skips the paper's §IV-B period
 /// aggregates that only allowance reallocation consumes. Decisions are
-/// bit-identical (pinned by parity tests in `volley_core::bank`).
+/// the sampler's: both run the same §III-B step.
 struct FleetShard {
     cluster: ClusterConfig,
     window: SimDuration,

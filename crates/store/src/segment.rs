@@ -643,6 +643,13 @@ mod tests {
     }
 
     #[test]
+    fn crc32_known_vectors() {
+        // Standard IEEE test vector.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn round_trips_multiple_series() {
         let mut records = Vec::new();
         for m in 0..3u32 {

@@ -1,91 +1,89 @@
-//! A monitor served over a real TCP socket — the paper's deployment
-//! shape (monitors in each server's Dom0, coordinators elsewhere) run in
-//! miniature: the "Dom0" side serves [`volley_runtime::MonitorActor`] on
-//! a loopback socket; the "coordinator" side drives ticks, receives local
-//! violation reports and issues a poll, all over the wire protocol.
+//! Monitors served over a real TCP socket — the paper's deployment shape
+//! (monitors in each server's Dom0, coordinators elsewhere) run in
+//! miniature: a `NetCoordinator` event loop listens on loopback, an agent
+//! thread hosts the monitors and connects to it, and every tick, local
+//! violation report and global poll crosses the wire protocol. The
+//! report is compared against the in-process runner on the same traces.
 //!
 //! Run with: `cargo run --example remote_monitor`
 
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
-use volley::core::task::MonitorId;
-use volley::{AdaptationConfig, AdaptiveSampler, NetflowConfig};
-use volley_runtime::message::{
-    decode, encode, CoordinatorToMonitor, MonitorToCoordinator, TickData,
-};
-use volley_runtime::transport::{read_frame, serve_monitor_tcp, write_frame};
-use volley_runtime::MonitorActor;
+use volley::core::task::TaskSpec;
+use volley::{NetflowConfig, TaskRunner};
+use volley_runtime::net::{run_agent, AgentConfig, BackoffConfig, NetAddr, NetCoordinator};
+use volley_runtime::transport::TransportConfig;
+
+/// Monitors in the task, all hosted by one agent.
+const MONITORS: u32 = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- "Dom0" side: serve one monitor on a loopback socket. ---
-    let trace = NetflowConfig::builder()
-        .seed(21)
-        .build()
-        .generate_vm(0, 1200)
-        .rho;
-    let threshold = volley::selectivity_threshold(&trace, 1.0)?;
-    let config = AdaptationConfig::builder()
+    // One netflow ρ trace per monitor; the global threshold is the 1%
+    // selectivity threshold of their sum.
+    let netflow = NetflowConfig::builder().seed(21).build();
+    let traces: Vec<Vec<f64>> = (0..MONITORS)
+        .map(|vm| netflow.generate_vm(vm as usize, 1200).rho)
+        .collect();
+    let total: Vec<f64> = (0..traces[0].len())
+        .map(|t| traces.iter().map(|trace| trace[t]).sum())
+        .collect();
+    let global = volley::selectivity_threshold(&total, 1.0)?;
+    let spec = TaskSpec::builder(global)
+        .monitors(MONITORS as usize)
         .error_allowance(0.02)
         .max_interval(8)
         .patience(5)
         .build()?;
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let server = std::thread::spawn(move || {
-        let (stream, peer) = listener.accept().expect("accept coordinator");
-        eprintln!("monitor: serving coordinator at {peer}");
-        let actor = MonitorActor::new(MonitorId(0), AdaptiveSampler::new(config, threshold));
-        serve_monitor_tcp(actor, stream).expect("monitor serves cleanly");
-    });
 
-    // --- Coordinator side: drive ticks over the wire. ---
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut samples = 0u64;
-    let mut violations = 0u64;
-    let mut polls = 0u64;
-    for (t, &value) in trace.iter().enumerate() {
-        let tick = t as u64;
-        write_frame(
-            &mut writer,
-            &encode(&CoordinatorToMonitor::Tick(TickData { tick, value })),
-        )?;
-        let frame = read_frame(&mut reader)?.ok_or("monitor hung up")?;
-        match decode::<MonitorToCoordinator>(&frame)? {
-            MonitorToCoordinator::TickDone {
-                sampled, violation, ..
-            } => {
-                if sampled {
-                    samples += 1;
-                }
-                if violation {
-                    violations += 1;
-                    // Local violation → global poll, over the same wire.
-                    write_frame(&mut writer, &encode(&CoordinatorToMonitor::Poll { tick }))?;
-                    let frame = read_frame(&mut reader)?.ok_or("monitor hung up")?;
-                    if let MonitorToCoordinator::PollReply { value, .. } = decode(&frame)? {
-                        polls += 1;
-                        if polls == 1 {
-                            println!(
-                                "first local violation at tick {tick}: polled value {value:.0}"
-                            );
-                        }
-                    }
-                }
-            }
-            other => eprintln!("unexpected message: {other:?}"),
-        }
-    }
-    write_frame(&mut writer, &encode(&CoordinatorToMonitor::Shutdown))?;
-    server.join().expect("server thread exits");
+    // --- Coordinator side: one event loop on a loopback listener. ---
+    let coordinator = NetCoordinator::bind(spec.clone(), &NetAddr::Tcp("127.0.0.1:0".into()))?
+        .with_wait_timeout(Duration::from_secs(10));
+    let bound = coordinator
+        .local_addr()
+        .ok_or("listener has no TCP address")?;
+    let addr = NetAddr::Tcp(bound.to_string());
+    println!("coordinator listening on {bound}");
 
-    println!("ticks driven:      {}", trace.len());
+    // --- "Dom0" side: an agent thread hosting every monitor. ---
+    let agent = AgentConfig {
+        agent: 0,
+        addr,
+        spec: spec.clone(),
+        monitors: 0..MONITORS,
+        transport: TransportConfig::default(),
+        backoff: BackoffConfig {
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(200),
+            max_retries_per_outage: 100,
+        },
+    };
+    let agent = std::thread::spawn(move || run_agent(&agent));
+
+    let outcome = coordinator.run(&traces)?;
+    let hosted = agent.join().expect("agent thread exits")?;
+    let report = &outcome.report;
+
+    let periodic = traces.len() as u64 * report.ticks;
+    println!("ticks driven:      {}", report.ticks);
     println!(
-        "samples over TCP:  {samples} ({:.1}% of periodic)",
-        100.0 * samples as f64 / trace.len() as f64
+        "samples over TCP:  {} ({:.1}% of periodic)",
+        report.total_samples,
+        100.0 * report.total_samples as f64 / periodic as f64
     );
-    println!("local violations:  {violations} (each answered by a global poll)");
+    println!(
+        "local violations:  {} ({} global polls, {} alerts)",
+        report.local_violation_reports, report.polls, report.alerts
+    );
+    println!(
+        "frames:            {} agent → coordinator, {} back",
+        hosted.frames_sent, outcome.net.frames_out
+    );
+
+    let in_process = TaskRunner::new(&spec)?.run(&traces)?;
+    assert_eq!(
+        *report, in_process,
+        "the socket run reproduces the in-process runner"
+    );
+    println!("report identical to the in-process runner");
     Ok(())
 }

@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use volley::core::snapshot::{DeltaSnapshot, EwmaSnapshot, SamplerSnapshot, StatsSnapshot};
-use volley::core::stats::{DeltaTracker, EwmaStats, OnlineStats};
+use volley::core::snapshot::{EwmaSnapshot, SamplerSnapshot, StatsSnapshot};
+use volley::core::stats::{EwmaStats, OnlineStats, StatsKind};
 use volley::core::vfs::{CircuitBreaker, FaultFs, IoFaultPlan};
-use volley::core::{AdaptationConfig, AdaptiveSampler, Interval};
+use volley::core::{AdaptationConfig, AdaptiveSampler};
 use volley::runtime::checkpoint::{
     decode_records, encode_record, AppendOutcome, CoordinatorSnapshot, MultitaskSnapshot,
     TickOutcome, Wal, WalRecord, WalSyncPolicy,
@@ -31,12 +31,13 @@ fn case_dir(prefix: &str) -> std::path::PathBuf {
 
 /// A sampler grown through real observations, so its snapshot satisfies
 /// every invariant the restore path round-trips exactly.
-fn grown_sampler(threshold: f64, err: f64, steps: u64) -> AdaptiveSampler {
+fn grown_sampler(threshold: f64, err: f64, steps: u64, stats: StatsKind) -> AdaptiveSampler {
     let cfg = AdaptationConfig::builder()
         .error_allowance(0.05)
         .max_interval(8)
         .patience(3)
         .warmup_samples(3)
+        .stats(stats)
         .build()
         .unwrap();
     let mut sampler = AdaptiveSampler::new(cfg, threshold);
@@ -114,46 +115,35 @@ proptest! {
         prop_assert_eq!(back, snap);
     }
 
-    /// `DeltaTracker` (with and without the EWMA estimator) round-trips,
-    /// including the cached last sample.
-    #[test]
-    fn delta_snapshot_round_trips(
-        use_ewma in 0u8..2,
-        samples in prop::collection::vec((0u64..1_000_000, -1e6f64..1e6), 0..32),
-    ) {
-        let mut tracker = if use_ewma == 1 {
-            DeltaTracker::with_ewma(0.2)
-        } else {
-            DeltaTracker::new()
-        };
-        let mut last_tick = None;
-        for (tick, value) in &samples {
-            // Ticks must advance for δ̂ normalization to stay sane.
-            let tick = last_tick.map_or(*tick % 1000, |t: u64| t + 1 + *tick % 1000);
-            tracker.record(tick, *value, Interval::DEFAULT);
-            last_tick = Some(tick);
-        }
-        let snap = tracker.to_snapshot();
-        prop_assert_eq!(DeltaTracker::from_snapshot(&snap), tracker);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: DeltaSnapshot = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, snap);
-    }
-
-    /// A sampler grown through arbitrary-length real runs round-trips its
-    /// full adaptation state.
+    /// A sampler grown through arbitrary-length real runs, under either
+    /// estimator, round-trips its full adaptation state — the active
+    /// estimator's moments and the cached last sample included, so the
+    /// restored sampler continues exactly as the original would.
     #[test]
     fn sampler_snapshot_round_trips(
         threshold in 1.0f64..1e6,
         err in 0.0f64..0.2,
         steps in 0u64..80,
+        use_ewma in 0u8..2,
+        next in 0.0f64..20.0,
     ) {
-        let sampler = grown_sampler(threshold, err, steps);
+        let stats = if use_ewma == 1 {
+            StatsKind::Ewma { lambda: 0.2 }
+        } else {
+            StatsKind::WindowedRestart
+        };
+        let mut sampler = grown_sampler(threshold, err, steps, stats);
         let snap = sampler.to_snapshot();
-        prop_assert_eq!(AdaptiveSampler::from_snapshot(&snap), sampler);
+        prop_assert_eq!(snap.tracker.ewma.is_some(), use_ewma == 1);
+        prop_assert_eq!(snap.tracker.last.is_some(), steps > 0);
+        let mut restored = AdaptiveSampler::from_snapshot(&snap);
+        prop_assert_eq!(&restored, &sampler);
         let json = serde_json::to_string(&snap).unwrap();
         let back: SamplerSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, snap);
+        let tick = snap.tracker.last.map_or(0, |(t, _)| t + 1);
+        prop_assert_eq!(restored.observe(tick, next), sampler.observe(tick, next));
+        prop_assert_eq!(restored.stats(), sampler.stats());
     }
 
     /// A well-formed WAL stream decodes back to exactly the records that
@@ -170,7 +160,7 @@ proptest! {
         for t in 0..ticks_before {
             bytes.extend(encode_record(&tick_record(epoch, t, (t % 4) as u32)));
         }
-        let sampler = grown_sampler(100.0, 0.01, steps);
+        let sampler = grown_sampler(100.0, 0.01, steps, StatsKind::WindowedRestart);
         let snap = snapshot_record(epoch, ticks_before, vec![Some(sampler.to_snapshot()), None]);
         bytes.extend(encode_record(&snap));
         for t in 0..ticks_after {

@@ -1,25 +1,19 @@
-//! Swappable channel endpoints for monitor inboxes.
+//! Channel endpoints for monitor inboxes.
 //!
-//! The runner and the coordinator both send frames to every monitor. When
-//! the runner restarts a crashed or stalled monitor it must atomically
-//! redirect *both* senders to the fresh actor's inbox; [`MonitorLink`]
-//! provides that indirection: a cloneable handle whose underlying
-//! [`Sender`] can be replaced at runtime, with clones observing the swap.
-//!
-//! A link can also be *tagged* ([`MonitorLink::tagged`]): instead of an
-//! actor inbox it feeds a shared `(monitor, frame)` channel, which is how
-//! the networked coordinator ([`crate::net`]) funnels every monitor's
-//! outbound traffic into one socket event loop without the coordinator
-//! actor knowing the transport changed.
-
-use std::sync::{Arc, Mutex};
+//! A [`MonitorLink`] is a cloneable handle the coordinator's channel
+//! driver sends a monitor's frames through. It either feeds an inbox
+//! channel directly or is *tagged* ([`MonitorLink::tagged`]): then it
+//! feeds a shared `(monitor, frame)` channel, which is how the networked
+//! coordinator ([`crate::net`]) funnels every monitor's outbound traffic
+//! into one socket event loop without the coordinator knowing the
+//! transport changed.
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 
 /// Where a link's frames go: straight into an actor inbox, or tagged with
 /// the monitor index into a shared multiplexer channel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum LinkTarget {
     Channel(Sender<Bytes>),
     Tagged {
@@ -28,17 +22,17 @@ enum LinkTarget {
     },
 }
 
-/// A cloneable, swappable handle to one monitor's inbox.
+/// A cloneable handle to one monitor's inbox.
 #[derive(Debug, Clone)]
 pub struct MonitorLink {
-    inner: Arc<Mutex<LinkTarget>>,
+    target: LinkTarget,
 }
 
 impl MonitorLink {
     /// Wraps a monitor-inbox sender.
     pub fn new(sender: Sender<Bytes>) -> Self {
         MonitorLink {
-            inner: Arc::new(Mutex::new(LinkTarget::Channel(sender))),
+            target: LinkTarget::Channel(sender),
         }
     }
 
@@ -48,26 +42,17 @@ impl MonitorLink {
     /// serves every monitor connection.
     pub fn tagged(monitor: u32, out: Sender<(u32, Bytes)>) -> Self {
         MonitorLink {
-            inner: Arc::new(Mutex::new(LinkTarget::Tagged { monitor, out })),
+            target: LinkTarget::Tagged { monitor, out },
         }
     }
 
     /// Sends one frame; `false` means the monitor's inbox is gone
     /// (its thread exited and the receiver was dropped).
     pub fn send(&self, frame: Bytes) -> bool {
-        let guard = self.inner.lock().expect("link lock never poisoned");
-        match &*guard {
+        match &self.target {
             LinkTarget::Channel(sender) => sender.send(frame).is_ok(),
             LinkTarget::Tagged { monitor, out } => out.send((*monitor, frame)).is_ok(),
         }
-    }
-
-    /// Redirects this link (and every clone of it) to a new inbox;
-    /// dropping the previous sender disconnects the old actor, letting a
-    /// stalled thread drain out and exit.
-    pub fn replace(&self, sender: Sender<Bytes>) {
-        let mut guard = self.inner.lock().expect("link lock never poisoned");
-        *guard = LinkTarget::Channel(sender);
     }
 }
 
@@ -82,19 +67,6 @@ mod tests {
         let link = MonitorLink::new(tx);
         assert!(link.send(Bytes::from_static(b"a")));
         assert_eq!(&*rx.recv().unwrap(), b"a");
-    }
-
-    #[test]
-    fn replace_redirects_all_clones() {
-        let (tx1, rx1) = unbounded::<Bytes>();
-        let (tx2, rx2) = unbounded::<Bytes>();
-        let link = MonitorLink::new(tx1);
-        let clone = link.clone();
-        link.replace(tx2);
-        assert!(clone.send(Bytes::from_static(b"b")), "clone sees the swap");
-        assert_eq!(&*rx2.recv().unwrap(), b"b");
-        // The old inbox is disconnected once its sender is dropped.
-        assert!(rx1.try_recv().is_err());
     }
 
     #[test]

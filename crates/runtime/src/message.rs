@@ -1,11 +1,12 @@
-//! Wire messages of the monitor/coordinator protocol.
+//! Messages of the monitor/coordinator protocol.
 //!
-//! Every message is `Serialize`/`Deserialize` and framed losslessly by
-//! [`encode`]/[`decode`], so the in-process channel transport could be
-//! swapped for a socket without touching the actors. The encoding is
-//! line-delimited JSON over a [`bytes::Bytes`] buffer — chosen for
-//! debuggability (the paper's prototype likewise shipped human-readable
-//! reports between bash-driven monitors and coordinators).
+//! In process these are plain typed values handed between the monitor
+//! actors and the coordinator core. Only the socket path encodes them:
+//! every message is `Serialize`/`Deserialize` and framed losslessly by
+//! [`encode`]/[`decode`] as line-delimited JSON over a [`bytes::Bytes`]
+//! buffer — chosen for debuggability (the paper's prototype likewise
+//! shipped human-readable reports between bash-driven monitors and
+//! coordinators).
 
 //! ## Epoch fencing
 //!
@@ -79,11 +80,10 @@ pub enum MonitorToCoordinator {
         /// The period aggregates.
         report: PeriodReport,
     },
-    /// Supervisor notice (sent by the *runner*, which shares the
-    /// monitor→coordinator channel): `monitor` was restarted and will
-    /// report again — await it instead of skipping it as quarantined.
-    /// Because the channel is FIFO, the notice always precedes the
-    /// restarted monitor's first report.
+    /// Supervisor notice (sent by the *runner*): `monitor` was restarted
+    /// and will report again — await it instead of skipping it as
+    /// quarantined. The notice always precedes the restarted monitor's
+    /// first report.
     Revived {
         /// The restarted monitor.
         monitor: MonitorId,
@@ -96,13 +96,12 @@ pub enum MonitorToCoordinator {
         /// The sampler state.
         snapshot: SamplerSnapshot,
     },
-    /// Multi-task control notice (sent by the *runner*, which shares the
-    /// monitor→coordinator channel, like [`Self::Revived`]): the state of
-    /// this task's precondition (leader) task. A follower coordinator
-    /// engages its suppression gate while the leader is calm and releases
-    /// it the moment the leader's violation likelihood is high (§II.B).
-    /// FIFO ordering guarantees the notice is consumed before the tick it
-    /// precedes.
+    /// Multi-task control notice (sent by the *runner*, like
+    /// [`Self::Revived`]): the state of this task's precondition (leader)
+    /// task. A follower coordinator engages its suppression gate while
+    /// the leader is calm and releases it the moment the leader's
+    /// violation likelihood is high (§II.B). The notice is consumed
+    /// before the reports of the tick it precedes.
     LeaderState {
         /// The tick this notice precedes.
         tick: Tick,
@@ -159,7 +158,7 @@ pub enum CoordinatorToMonitor {
         /// Minimum ticks between samples while gated; `None` = ungated.
         interval: Option<u32>,
     },
-    /// Terminate the monitor thread.
+    /// Terminate the monitor (its agent-side host stops serving it).
     Shutdown,
 }
 
@@ -196,7 +195,7 @@ impl ControlFrame {
 }
 
 /// Per-tick summary the coordinator returns to the runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TickSummary {
     /// The concluded tick.
     pub tick: Tick,

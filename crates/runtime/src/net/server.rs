@@ -7,8 +7,9 @@
 //! Three threads cooperate:
 //!
 //! 1. the **coordinator actor** ([`crate::coordinator::CoordinatorActor`])
-//!    runs unmodified — it still reads one inbound channel and writes
-//!    per-monitor [`MonitorLink`]s; it cannot tell the transport changed.
+//!    drives the same sans-IO core the in-process runner steps inline,
+//!    from one inbound channel and per-monitor [`MonitorLink`]s; it
+//!    cannot tell the transport changed.
 //! 2. the **event loop** (this module) owns the listener and every agent
 //!    socket. Inbound: raw bytes → [`FrameBuffer`] reassembly → raw
 //!    `MonitorFrame` lines forwarded verbatim into the coordinator's
@@ -51,14 +52,15 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::Serialize;
 
-use volley_core::allocation::{AllocationConfig, ErrorAllocator};
+use volley_core::allocation::AllocationConfig;
 use volley_core::task::TaskSpec;
 use volley_core::VolleyError;
 use volley_obs::{names, Obs};
 use volley_serve::ServePublisher;
 
-use crate::coordinator::{CoordinatorActor, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE};
-use crate::failure::FaultPlan;
+use crate::coordinator::{
+    CoordinatorActor, CoordinatorCore, DEFAULT_QUARANTINE_AFTER, DEFAULT_TICK_DEADLINE,
+};
 use crate::link::MonitorLink;
 use crate::message::{decode, ControlFrame, CoordinatorToMonitor, CoordinatorToRunner, TickData};
 use crate::runner::RuntimeReport;
@@ -481,7 +483,6 @@ impl NetCoordinator {
             });
         }
         let ticks = traces.iter().map(|t| t.len()).min().unwrap_or(0) as u64;
-        let global_err = self.spec.adaptation().error_allowance();
 
         // Plumbing: monitor frames in, tagged control frames out,
         // summaries to this driver.
@@ -494,25 +495,11 @@ impl NetCoordinator {
 
         // The coordinator actor, with the runner's exact construction so
         // aggregation semantics are shared.
-        let allocator = ErrorAllocator::new(AllocationConfig::default(), global_err, n)?;
-        let local_thresholds: Vec<f64> = self
-            .spec
-            .monitors()
-            .iter()
-            .map(|m| m.local_threshold)
-            .collect();
-        let coordinator = CoordinatorActor::new(
-            self.spec.global_threshold(),
-            local_thresholds,
-            allocator,
-            self.spec.adaptation().slack_ratio(),
-            true,
-        )
-        .with_fault_plan(FaultPlan::default())
-        .with_tick_deadline(self.tick_deadline)
-        .with_quarantine_after(self.quarantine_after)
-        .with_epoch(0)
-        .with_obs(&self.obs);
+        let core = CoordinatorCore::for_spec(&self.spec, AllocationConfig::default(), true)?
+            .with_quarantine_after(self.quarantine_after);
+        let coordinator = CoordinatorActor::new(core)
+            .with_tick_deadline(self.tick_deadline)
+            .with_obs(&self.obs);
         let coord_links = links.clone();
         let coord_handle =
             thread::spawn(move || coordinator.run(from_monitors, coord_links, summary_tx));
@@ -559,6 +546,7 @@ impl NetCoordinator {
             let conn_gauge = registry.gauge(names::NET_CONNECTIONS);
             let queue_gauge = registry.gauge(names::NET_QUEUE_DEPTH);
             let reconnects_total = registry.counter(names::NET_RECONNECTS_TOTAL);
+            let tick_hist = registry.histogram(names::RUNNER_TICK_LATENCY_NS);
             let stalls_total = registry.counter(names::NET_BACKPRESSURE_STALLS_TOTAL);
             let mut obs_reconnects = 0u64;
             let mut obs_stalls = 0u64;
@@ -581,6 +569,7 @@ impl NetCoordinator {
                 if self.tick_interval > Duration::ZERO {
                     thread::sleep(self.tick_interval);
                 }
+                let tick_started = self.obs.enabled().then(Instant::now);
                 for (i, link) in links.iter().enumerate() {
                     let data = TickData {
                         tick,
@@ -608,30 +597,18 @@ impl NetCoordinator {
                         Err(_) => {}
                     }
                 };
-                report.ticks += 1;
-                report.scheduled_samples += u64::from(summary.scheduled_samples);
-                report.poll_samples += u64::from(summary.poll_samples);
-                report.local_violation_reports += u64::from(summary.local_violations);
-                report.missed_tick_reports += u64::from(summary.missing_reports);
-                report.stale_epoch_frames += u64::from(summary.stale_epoch_frames);
-                if summary.polled {
-                    report.polls += 1;
-                    if summary.degraded {
-                        report.degraded_polls += 1;
-                    }
-                }
+                report.absorb(&summary);
                 if summary.alerted {
-                    report.alerts += 1;
-                    report.alert_ticks.push(summary.tick);
-                    if summary.degraded {
-                        report.degraded_alerts += 1;
-                    }
                     if let Some(serve) = &self.serve {
                         serve.alert(summary.tick, summary.degraded);
                     }
                 }
                 if let Some(serve) = &self.serve {
                     serve.set_tick(tick);
+                }
+                if let Some(started) = tick_started {
+                    tick_hist.record(started.elapsed().as_nanos() as u64);
+                    self.obs.spans().record("runner_tick", started);
                 }
                 if self.obs.enabled() {
                     let stats = shared.stats();
@@ -643,7 +620,6 @@ impl NetCoordinator {
                     obs_stalls = stats.backpressure_drops;
                 }
             }
-            report.total_samples = report.scheduled_samples + report.poll_samples;
             Ok(report)
         };
         let outcome = drive();
@@ -1015,6 +991,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn runner_tick_latency_is_recorded_per_tick() {
+        let obs = Obs::new(true);
+        let coordinator = NetCoordinator::bind(spec(2), &NetAddr::Tcp("127.0.0.1:0".into()))
+            .unwrap()
+            .with_obs(&obs);
+        let config = crate::net::AgentConfig {
+            agent: 0,
+            addr: NetAddr::Tcp(coordinator.local_addr().unwrap().to_string()),
+            spec: spec(2),
+            monitors: 0..2,
+            transport: TransportConfig::default(),
+            backoff: crate::net::BackoffConfig::default(),
+        };
+        let agent = thread::spawn(move || crate::net::run_agent(&config));
+        let outcome = coordinator.run(&[vec![10.0; 30], vec![20.0; 30]]).unwrap();
+        agent.join().unwrap().unwrap();
+        let snapshot = obs.snapshot(0);
+        let ticks = snapshot.histograms[names::RUNNER_TICK_LATENCY_NS].count;
+        assert_eq!(ticks, outcome.report.ticks);
+        let spans = obs.spans().events();
+        let runner_ticks = spans.iter().filter(|e| e.name == "runner_tick").count();
+        assert_eq!(runner_ticks as u64, outcome.report.ticks);
     }
 
     #[test]

@@ -270,24 +270,9 @@ fn event_loop(
     let mut stopping = false;
     loop {
         let mut progress = false;
-
-        if !stopping && stop.load(Ordering::Relaxed) {
-            // Graceful: terminate open streams, then drain what's
-            // buffered below and exit.
-            stopping = true;
-            for conn in conns.iter_mut().flatten() {
-                if conn.streaming {
-                    let (_, _, lines) = publisher.ring().collect_since(conn.stream_cursor);
-                    for line in &lines {
-                        let mut payload = line.as_bytes().to_vec();
-                        payload.push(b'\n');
-                        conn.queue(&http::chunk(&payload));
-                    }
-                    conn.queue(&http::final_chunk());
-                }
-                conn.close_after_write = true;
-            }
-        }
+        // A stop request takes effect after one more accept and read
+        // pass, so requests clients sent before the stop are served.
+        let stop_now = !stopping && stop.load(Ordering::Relaxed);
 
         // Accept phase.
         if !stopping {
@@ -454,6 +439,25 @@ fn event_loop(
             if drop_conn {
                 *slot = None;
             }
+        }
+
+        if stop_now {
+            // Graceful: terminate open streams, then drain what's
+            // buffered on the next passes and exit.
+            stopping = true;
+            for conn in conns.iter_mut().flatten() {
+                if conn.streaming {
+                    let (_, _, lines) = publisher.ring().collect_since(conn.stream_cursor);
+                    for line in &lines {
+                        let mut payload = line.as_bytes().to_vec();
+                        payload.push(b'\n');
+                        conn.queue(&http::chunk(&payload));
+                    }
+                    conn.queue(&http::final_chunk());
+                }
+                conn.close_after_write = true;
+            }
+            continue;
         }
 
         let open = conns.iter().filter(|slot| slot.is_some()).count();

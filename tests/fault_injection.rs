@@ -166,3 +166,57 @@ fn unsupervised_stall_degrades_but_completes() {
     );
     assert!(report.missed_tick_reports as usize >= TICKS - 20);
 }
+
+#[test]
+fn every_fault_kind_in_one_plan_reproduces_identical_reports() {
+    let spec = spec();
+    let traces: Vec<Vec<f64>> = traces().into_iter().map(|t| t[..100].to_vec()).collect();
+    let dir = std::env::temp_dir().join("volley-fault-injection-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("every-fault-{}.wal", std::process::id()));
+    // Message faults on every path, a monitor crash and a stall, a
+    // partition spanning a coordinator crash (so the partitioned monitor
+    // misses the new epoch), and a corrupted WAL record the standby must
+    // replay around.
+    let plan = FaultPlan::new(2026)
+        .with_drop_rate(FaultPath::ViolationReport, 0.1)
+        .with_drop_rate(FaultPath::PollReply, 0.1)
+        .with_duplication_rate(0.2)
+        .with_delay_rate(0.03)
+        .with_crash(MonitorId(1), 20)
+        .with_stall(MonitorId(3), 30, 10)
+        .with_partition(&[MonitorId(4)], 58, 61)
+        .with_coordinator_crash(60)
+        .with_wal_corruption(45);
+    let run = || {
+        let report = TaskRunner::new(&spec)
+            .unwrap()
+            .with_fault_plan(plan.clone())
+            .with_tick_deadline(Duration::from_millis(20))
+            .with_quarantine_after(2)
+            .with_standby(true)
+            .with_wal(&path, 10)
+            .run(&traces)
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        report
+    };
+    let first = run();
+    let second = run();
+    assert_eq!(
+        first, second,
+        "one plan of every fault kind must replay identically"
+    );
+    assert_eq!(first.ticks, 100);
+    assert_eq!(first.coordinator_failovers, 1);
+    assert!(
+        first.checkpoint_restores > 0,
+        "the standby restored from the WAL"
+    );
+    assert!(
+        first.stale_epoch_frames >= 1,
+        "the partitioned monitor was fenced"
+    );
+    assert!(first.quarantines >= 2, "crash and stall both quarantine");
+    assert_eq!(first.restarts, first.quarantines);
+}

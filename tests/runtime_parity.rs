@@ -1,6 +1,6 @@
-//! Integration: the threaded message-passing runtime agrees exactly with
-//! the step-driven reference implementation, and degrades predictably
-//! under injected message loss.
+//! Integration: the in-process runtime (actors and the coordinator core
+//! stepped inline) agrees exactly with the step-driven reference
+//! implementation, and degrades predictably under injected message loss.
 
 use volley::core::coordinator::CoordinationScheme;
 use volley::core::task::TaskSpec;
@@ -153,4 +153,77 @@ fn runtime_handles_many_monitors() {
         .expect("run succeeds");
     assert_eq!(report.ticks, 400);
     assert!(report.total_samples > 0);
+}
+
+/// The benchmark's netflow task shape: per-VM flood cascades over a
+/// diurnal baseline, each local threshold at 1% selectivity of its own
+/// trace and the global threshold their sum.
+fn netflow_task(monitors: usize, ticks: usize, seed: u64) -> (TaskSpec, Vec<Vec<f64>>) {
+    use volley::traces::netflow::{AttackSpec, NetflowConfig};
+    let floods = volley::sim::DdosCascadeConfig::default();
+    let mut config = NetflowConfig::builder()
+        .seed(seed)
+        .vms(monitors)
+        .diurnal(volley::traces::DiurnalPattern::new(ticks as u64, 0.4));
+    for start in (0..ticks as u64).step_by(floods.attack_period as usize) {
+        for vm in 0..monitors {
+            config = config.attack(AttackSpec {
+                vm,
+                start_tick: start,
+                duration_ticks: floods.attack_duration,
+                peak_asymmetry: floods.peak_asymmetry,
+            });
+        }
+    }
+    let traces: Vec<Vec<f64>> = config
+        .build()
+        .generate(ticks)
+        .into_iter()
+        .map(|t| t.rho)
+        .collect();
+    let thresholds: Vec<f64> = traces
+        .iter()
+        .map(|t| volley::core::selectivity_threshold(t, 1.0).expect("non-empty trace"))
+        .collect();
+    let spec = TaskSpec::builder(thresholds.iter().sum())
+        .threshold_split(volley::core::ThresholdSplit::Proportional)
+        .threshold_weights(thresholds)
+        .error_allowance(0.01)
+        .max_interval(16)
+        .patience(10)
+        .build()
+        .expect("valid spec");
+    (spec, traces)
+}
+
+#[test]
+fn sixty_four_monitor_parity_across_reallocation_rounds() {
+    let ticks = 2500;
+    let period = volley::core::allocation::AllocationConfig::default().update_period_ticks;
+    assert!(
+        ticks as u64 > 2 * period,
+        "the run spans at least two §IV-B reallocation rounds"
+    );
+    for seed in [1u64, 2, 3] {
+        let (spec, traces) = netflow_task(64, ticks, seed);
+        let (ref_alerts, ref_samples) = reference_run(&spec, &traces);
+        let report = TaskRunner::new(&spec)
+            .expect("valid runner")
+            .run(&traces)
+            .expect("run succeeds");
+        assert!(report.polls >= 1, "seed {seed}: no global poll ran");
+        assert_eq!(report.alert_ticks, ref_alerts, "alerts (seed={seed})");
+        assert_eq!(report.total_samples, ref_samples, "samples (seed={seed})");
+        // Reallocation actually moved allowances: the even split samples
+        // differently on the same inputs.
+        let even = TaskRunner::new(&spec)
+            .expect("valid runner")
+            .with_scheme(CoordinationScheme::Even)
+            .run(&traces)
+            .expect("run succeeds");
+        assert_ne!(
+            even.total_samples, report.total_samples,
+            "seed {seed}: adaptive reallocation changed nothing"
+        );
+    }
 }

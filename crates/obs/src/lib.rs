@@ -100,12 +100,11 @@ pub mod names {
     pub const WAL_APPEND_NS: &str = "volley_wal_append_ns";
     /// Histogram (ns): checkpoint write latency.
     pub const CHECKPOINT_WRITE_NS: &str = "volley_checkpoint_write_ns";
-    /// Histogram (ns): monitor sample + likelihood evaluation time.
+    /// Histogram (ns): monitor sample + likelihood evaluation time (the
+    /// runtime times every 16th sample of each monitor).
     pub const MONITOR_SAMPLE_NS: &str = "volley_monitor_sample_ns";
     /// Counter: samples taken across monitor actors.
     pub const MONITOR_SAMPLES_TOTAL: &str = "volley_monitor_samples_total";
-    /// Counter: frames sent monitor → coordinator.
-    pub const TRANSPORT_SENDS_TOTAL: &str = "volley_transport_sends_total";
     /// Counter: frames received by the coordinator.
     pub const TRANSPORT_RECVS_TOTAL: &str = "volley_transport_recvs_total";
     /// Counter: simulated sampling operations (Fig. 6 cost path).

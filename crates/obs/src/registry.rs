@@ -11,7 +11,11 @@
 //!
 //! Writes are striped over [`SHARDS`] cache-line-aligned slots indexed by
 //! a per-thread ordinal, so monitor threads hammering the same counter
-//! never contend on one cache line. Reads ([`Counter::value`],
+//! never contend on one cache line. The first [`SHARDS`]` / 2` threads
+//! to record each own a stripe outright and update it with plain
+//! load/store pairs — one writer cannot lose an update, so no locked
+//! instruction is needed; every later thread shares the other half with
+//! atomic read-modify-writes. Reads ([`Counter::value`],
 //! [`Histogram::snapshot`]) sum the stripes; they are racy-consistent
 //! (each stripe is read atomically, the sum is not a point-in-time cut),
 //! which is the standard and sufficient contract for monitoring data.
@@ -26,9 +30,10 @@ use std::time::Instant;
 
 use crate::expose::{HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 
-/// Number of write stripes per instrument. Eight covers the runtime's
-/// thread-per-monitor fan-out at the scales the repo runs while keeping
-/// each histogram's footprint modest.
+/// Number of write stripes per instrument: four owned by the first
+/// recording threads, four shared by the rest — room for the runtime's
+/// runner, engine and serve threads while keeping each histogram's
+/// footprint modest.
 pub const SHARDS: usize = 8;
 
 /// Number of power-of-two latency buckets. Bucket 0 holds zeros; bucket
@@ -69,12 +74,18 @@ impl PaddedU64 {
 }
 
 /// A process-wide thread ordinal: the first instrumented call from each
-/// thread claims the next ordinal. Stripe index = ordinal mod [`SHARDS`];
-/// the ordinal itself also serves as the span log's thread id.
+/// thread claims the next ordinal, which picks its stripe (see
+/// [`Stripe`]); the ordinal itself also serves as the span log's thread
+/// id.
 static NEXT_THREAD_ORDINAL: AtomicU64 = AtomicU64::new(0);
+
+/// Stripes `0..OWNED_SHARDS` belong to threads `0..OWNED_SHARDS`, one
+/// each; the rest are shared by every later thread, by ordinal.
+const OWNED_SHARDS: u64 = SHARDS as u64 / 2;
 
 thread_local! {
     static THREAD_ORDINAL: u64 = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
+    static THREAD_STRIPE: Stripe = Stripe::of(thread_ordinal());
 }
 
 /// This thread's process-wide ordinal (stable for the thread's lifetime).
@@ -82,9 +93,56 @@ pub fn thread_ordinal() -> u64 {
     THREAD_ORDINAL.with(|ordinal| *ordinal)
 }
 
-#[inline]
-fn shard_index() -> usize {
-    (thread_ordinal() % SHARDS as u64) as usize
+/// The stripe a thread writes, and whether it is the stripe's only writer.
+#[derive(Debug, Clone, Copy)]
+struct Stripe {
+    index: usize,
+    owned: bool,
+}
+
+impl Stripe {
+    fn of(ordinal: u64) -> Self {
+        let owned = ordinal < OWNED_SHARDS;
+        let index = if owned {
+            ordinal
+        } else {
+            OWNED_SHARDS + ordinal % (SHARDS as u64 - OWNED_SHARDS)
+        };
+        Stripe {
+            index: index as usize,
+            owned,
+        }
+    }
+
+    /// This thread's stripe.
+    #[inline]
+    fn current() -> Self {
+        THREAD_STRIPE.with(|stripe| *stripe)
+    }
+
+    /// Adds `n` to `slot` of this stripe.
+    #[inline]
+    fn add(self, slot: &AtomicU64, n: u64) {
+        if self.owned {
+            let sum = slot.load(Ordering::Relaxed).wrapping_add(n);
+            slot.store(sum, Ordering::Relaxed);
+        } else {
+            slot.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises `slot` of this stripe to at least `value`.
+    #[inline]
+    fn max(self, slot: &AtomicU64, value: u64) {
+        if value <= slot.load(Ordering::Relaxed) {
+            return;
+        }
+        if self.owned {
+            slot.store(value, Ordering::Relaxed);
+        } else {
+            slot.fetch_max(value, Ordering::Relaxed);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -121,9 +179,8 @@ impl Counter {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.cell.shards[shard_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        let stripe = Stripe::current();
+        stripe.add(&self.cell.shards[stripe.index].0, n);
     }
 
     /// Increments by one.
@@ -161,11 +218,11 @@ impl Gauge {
     }
 }
 
-/// One stripe of a histogram: count, sum, max and the bucket array.
+/// One stripe of a histogram: sum, max and the bucket array (the count
+/// is the buckets' total, summed on snapshot rather than kept per record).
 #[repr(align(64))]
 #[derive(Debug)]
 struct HistogramShard {
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
@@ -174,7 +231,6 @@ struct HistogramShard {
 impl HistogramShard {
     fn new() -> Self {
         HistogramShard {
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -212,11 +268,11 @@ impl Histogram {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let shard = &self.cell.shards[shard_index()];
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(value, Ordering::Relaxed);
-        shard.max.fetch_max(value, Ordering::Relaxed);
-        shard.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        let stripe = Stripe::current();
+        let shard = &self.cell.shards[stripe.index];
+        stripe.add(&shard.sum, value);
+        stripe.max(&shard.max, value);
+        stripe.add(&shard.buckets[bucket_index(value)], 1);
     }
 
     /// Starts a scoped timer that records elapsed **nanoseconds** on
@@ -234,13 +290,13 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::empty();
         for shard in &self.cell.shards {
-            out.count = out.count.wrapping_add(shard.count.load(Ordering::Relaxed));
             out.sum = out.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
             out.max = out.max.max(shard.max.load(Ordering::Relaxed));
             for (bucket, slot) in out.buckets.iter_mut().zip(shard.buckets.iter()) {
                 *bucket = bucket.wrapping_add(slot.load(Ordering::Relaxed));
             }
         }
+        out.count = out.buckets.iter().fold(0u64, |acc, &b| acc.wrapping_add(b));
         out
     }
 }
@@ -496,6 +552,45 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(counter.value(), 80_000);
+    }
+
+    #[test]
+    fn stripes_split_owned_from_shared() {
+        for ordinal in 0..OWNED_SHARDS {
+            let stripe = Stripe::of(ordinal);
+            assert!(stripe.owned);
+            assert_eq!(stripe.index as u64, ordinal);
+        }
+        for ordinal in OWNED_SHARDS..64 {
+            let stripe = Stripe::of(ordinal);
+            assert!(!stripe.owned);
+            assert!((OWNED_SHARDS as usize..SHARDS).contains(&stripe.index));
+        }
+    }
+
+    /// Owned stripes (plain stores) and shared ones (atomic adds) mixed:
+    /// more writers than stripes, and nothing is lost.
+    #[test]
+    fn concurrent_histogram_records_are_lossless() {
+        let registry = Registry::new(true);
+        let histogram = registry.histogram("h");
+        let threads: Vec<_> = (0..12u64)
+            .map(|t| {
+                let histogram = histogram.clone();
+                std::thread::spawn(move || {
+                    for i in 0..5_000u64 {
+                        histogram.record(i % 100 + t);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let snap = histogram.snapshot();
+        assert_eq!(snap.count, 60_000);
+        assert_eq!(snap.sum, 12 * 50 * 4_950 + 5_000 * 66);
+        assert_eq!(snap.max, 99 + 11);
     }
 
     #[test]

@@ -146,6 +146,17 @@ impl SpanLog {
         self.push(name, started, Instant::now());
     }
 
+    /// Records the span `started..ended`: the guard-free form for hot
+    /// paths that read the clock themselves — no handle clones, and one
+    /// clock read can end one span and stamp the next.
+    #[inline]
+    pub fn record_span(&self, name: &'static str, started: Instant, ended: Instant) {
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        self.push(name, started, ended);
+    }
+
     fn push(&self, name: &'static str, started: Instant, ended: Instant) {
         let event = RawEvent {
             name,
@@ -321,5 +332,18 @@ mod tests {
         }
         assert_eq!(histogram.snapshot().count, 1);
         assert_eq!(log.events().len(), 1);
+    }
+
+    #[test]
+    fn record_span_covers_the_given_interval() {
+        let log = SpanLog::new(true, 16);
+        let started = Instant::now();
+        let ended = started + std::time::Duration::from_micros(1500);
+        log.record_span("given", started, ended);
+        assert_eq!(log.events()[0].dur_us, 1500);
+
+        let quiet = SpanLog::new(false, 16);
+        quiet.record_span("quiet", started, ended);
+        assert!(quiet.events().is_empty());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! A datacenter runs "a large number of monitoring tasks" (§I) at once;
 //! [`FleetRunner`] executes a batch of independent distributed tasks in
-//! parallel — each with its own monitor threads and coordinator — and
-//! collects their reports in submission order. Tasks are isolated: a
-//! task's channels, failure injection and allowance budget never touch
-//! another's.
+//! parallel — each stepped inline on a worker thread with its own
+//! monitors and coordinator — and collects their reports in submission
+//! order. Tasks are isolated: a task's state, failures and allowance
+//! budget never touch another's.
 
 use volley_core::coordinator::CoordinationScheme;
 use volley_core::task::TaskSpec;

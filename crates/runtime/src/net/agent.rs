@@ -4,9 +4,9 @@
 //! the [`super::wire`] protocol to the coordinator: it dials, sends an
 //! [`AgentHello`](super::wire::AgentHello), then loops decoding
 //! [`ServerFrame`](super::wire::ServerFrame)s and feeding each wrapped
-//! control frame to the addressed [`MonitorActor`] — exactly the code
-//! path the in-process runner drives through channels, which is what
-//! makes report parity possible.
+//! control frame to the addressed [`MonitorActor`] — exactly the call
+//! the in-process runner makes inline, which is what makes report
+//! parity possible.
 //!
 //! Robustness lives here too: when the connection dies (coordinator
 //! restart, injected storm, plain TCP reset) the agent re-dials with

@@ -6,7 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use volley::core::task::TaskSpec;
 use volley::obs::{names, parse_prometheus, Obs};
@@ -208,6 +208,21 @@ fn alert_stream_delivers_mid_run_alerts() {
     subscriber
         .write_all(b"GET /api/v1/alerts/stream HTTP/1.1\r\nHost: test\r\n\r\n")
         .expect("subscribe");
+    // Start the run only once the server holds the stream open, so its
+    // alerts reach a live subscriber rather than a shutdown replay.
+    let opened = Instant::now();
+    while obs
+        .snapshot(0)
+        .counters
+        .get(names::SERVE_REQUESTS_STREAM_TOTAL)
+        != Some(&1)
+    {
+        assert!(
+            opened.elapsed() < Duration::from_secs(10),
+            "the server never opened the stream"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let report = TaskRunner::new(&spec())
         .unwrap()
